@@ -36,6 +36,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseRetryAfter -fuzztime=$(FUZZTIME) -run NONE ./internal/crawler
 	$(GO) test -fuzz=FuzzParseProfile -fuzztime=$(FUZZTIME) -run NONE ./internal/monitor
 	$(GO) test -fuzz=FuzzConvert -fuzztime=$(FUZZTIME) -run NONE ./internal/htmltext
+	$(GO) test -fuzz=FuzzProbeEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/htmltext
 	$(GO) test -fuzz=FuzzExtract$$ -fuzztime=$(FUZZTIME) -run NONE ./internal/extract
 	$(GO) test -fuzz=FuzzExtractKernelEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/extract
 	$(GO) test -fuzz=FuzzTransform -fuzztime=$(FUZZTIME) -run NONE ./internal/tfidf
@@ -93,13 +94,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run NONE .
 
 # The benchmarks behind the bench-check regression gate: the
-# classify/tokenize/extract hot paths (cheap setup) plus the delta
+# classify/tokenize/extract hot paths and the prepare stage they make up
+# (the HTML probe on a plain-text paste, PrepareBatch over a crawl-shaped
+# corpus slice), all cheap to set up, plus the delta
 # checkpoint pair, which share one delta-mode study built on first use —
 # the setup run is a few minutes, the gate keeps the <50 ms/<5 MB
 # incremental-day budget honest. Calibrate is the fixed machine-speed
 # reference benchjson uses to normalize the gate against CPU-frequency
 # and noisy-neighbor drift between the baseline run and the check run.
-HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|ShardedStudy
+HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|IsProbablyHTML|PrepareBatch|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|ShardedStudy
 
 # Faster spot check of the headline artifacts.
 bench-quick:

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -910,6 +911,67 @@ func BenchmarkExtractFused(b *testing.B) {
 			k.ExtractInto(benign, &e, extract.Options{})
 		}
 	})
+}
+
+// --- Prepare stage (shared by the batch and stream engines) ---
+
+// BenchmarkIsProbablyHTML measures the HTML probe on a plain-text paste,
+// the case it runs on for most crawled documents: every paste is probed
+// and almost none converts. Held to exactly 0 allocs/op.
+func BenchmarkIsProbablyHTML(b *testing.B) {
+	s, _ := parallelBenchSetup(b)
+	_, paste := s.Gen.BenignPaste(randutil.New(6))
+	if htmltext.IsProbablyHTML(paste) {
+		b.Fatal("benchmark paste probes as HTML")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		probeSink = htmltext.IsProbablyHTML(paste)
+	}
+}
+
+// probeSink keeps the probe call in BenchmarkIsProbablyHTML live.
+var probeSink bool
+
+// crawlDocs is a fixed slice of the parallel-bench corpus in crawl
+// proportions: every site's stream is sampled at one stride, so pastes,
+// board posts and the doxes among them keep the shares the crawl collects
+// them in (pastes are about 80% of documents).
+func crawlDocs(b *testing.B) (*core.Study, []crawler.Doc) {
+	s, _ := parallelBenchSetup(b)
+	corpus := s.Corpus()
+	stride := max(corpus.TotalDocs()/2000, 1)
+	var docs []crawler.Doc
+	for _, site := range textgen.AllSites() {
+		stream := corpus.Streams[site]
+		for i := 0; i < len(stream); i += stride {
+			d := &stream[i]
+			docs = append(docs, crawler.Doc{
+				Site: string(site), ID: d.ID, Title: d.Title,
+				Body: d.Body, HTML: d.HTML, Posted: d.Posted,
+			})
+		}
+	}
+	return s, docs
+}
+
+// BenchmarkPrepareBatch measures the prepare stage both engines run per
+// document — HTML probe and conversion, classify, and extract for flagged
+// documents — through Study.PrepareBatch at one worker over crawlDocs.
+// ns/doc is the per-document prepare cost. It runs on one P: a goroutine
+// that migrates between Ps misses the sync.Pool scratch it left on the
+// other one and allocates a fresh scorer, which made B/op swing by 25%
+// between samples.
+func BenchmarkPrepareBatch(b *testing.B) {
+	s, docs := crawlDocs(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.PrepareBatch(docs, 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/doc")
 }
 
 // --- Streaming pipeline (the always-on service engine) ---

@@ -313,7 +313,10 @@ func Load(r io.Reader) (*Classifier, error) {
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {
 		return nil, err
 	}
-	vec := tfidf.Restore(p.Vocab, p.IDF, p.NDocs, p.TFIDFOpts)
+	vec, err := tfidf.Restore(p.Vocab, p.IDF, p.NDocs, p.TFIDFOpts)
+	if err != nil {
+		return nil, fmt.Errorf("classifier: load: %w", err)
+	}
 	model := sgd.New(len(p.Weights), p.SGDOpts)
 	model.Weights = p.Weights
 	model.Intercept = p.Intercept

@@ -2,7 +2,10 @@ package classifier
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -214,13 +217,34 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if loaded.VocabSize() != orig.VocabSize() {
 		t.Fatalf("vocab size %d != %d after round trip", loaded.VocabSize(), orig.VocabSize())
 	}
+	origVocab, origIDF, _, _ := orig.vec.Snapshot()
+	loadedVocab, loadedIDF, _, _ := loaded.vec.Snapshot()
+	if !reflect.DeepEqual(origVocab, loadedVocab) || !reflect.DeepEqual(origIDF, loadedIDF) {
+		t.Fatal("Save → Load changed the vocabulary")
+	}
 	for _, ex := range exs[:200] {
 		if orig.IsDox(ex.Body) != loaded.IsDox(ex.Body) {
 			t.Fatal("loaded classifier disagrees with original")
 		}
-		if orig.Score(ex.Body) != loaded.Score(ex.Body) {
-			t.Fatal("loaded classifier scores differ")
+		if a, b := orig.Score(ex.Body), loaded.Score(ex.Body); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("loaded classifier margin %v != original %v", b, a)
 		}
+	}
+}
+
+// TestLoadRejectsCorruptVocab: a saved model whose vocabulary indices do
+// not cover 0..n-1 exactly fails to load instead of panicking later.
+func TestLoadRejectsCorruptVocab(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(persisted{
+		Vocab:   map[string]int{"aa": 0, "bb": 5},
+		IDF:     []float64{1, 1},
+		Weights: []float64{0.5, -0.5},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&buf); err == nil {
+		t.Fatal("corrupt vocabulary accepted")
 	}
 }
 

@@ -96,6 +96,14 @@ func (l *Log) Publish(site, url string, seenAt time.Time, accounts []netid.Ref) 
 // before the retention window (events it has not seen were compacted), it
 // returns ErrCursorExpired.
 func (l *Log) After(cursor int64, limit int) ([]Event, error) {
+	events, _, err := l.after(cursor, limit)
+	return events, err
+}
+
+// after is After plus the channel the next publish closes, read under the
+// same lock as the events: a long-poller that finds nothing and waits on
+// it cannot miss an event published between the read and the wait.
+func (l *Log) after(cursor int64, limit int) ([]Event, <-chan struct{}, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if cursor < 0 {
@@ -103,10 +111,10 @@ func (l *Log) After(cursor int64, limit int) ([]Event, error) {
 	}
 	first := l.nextSeq - int64(l.n) // seq of the oldest retained event
 	if cursor+1 < first {
-		return nil, ErrCursorExpired
+		return nil, nil, ErrCursorExpired
 	}
 	if cursor+1 >= l.nextSeq {
-		return nil, nil
+		return nil, l.waiter, nil
 	}
 	count := int(l.nextSeq - cursor - 1)
 	if limit > 0 && count > limit {
@@ -117,7 +125,7 @@ func (l *Log) After(cursor int64, limit int) ([]Event, error) {
 	for i := 0; i < count; i++ {
 		out[i] = l.buf[(l.start+off+i)%len(l.buf)]
 	}
-	return out, nil
+	return out, l.waiter, nil
 }
 
 // FirstSeq returns the sequence number of the oldest retained event, or 0
@@ -195,13 +203,6 @@ func (l *Log) Restore(st State) error {
 	return nil
 }
 
-// wait returns a channel closed at the next publish.
-func (l *Log) wait() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.waiter
-}
-
 // Handler exposes the feed:
 //
 //	GET /events?cursor=N&limit=M            — replay events after N
@@ -232,7 +233,7 @@ func (l *Log) Handler() http.Handler {
 			}
 			limit = v
 		}
-		events, err := l.After(cursor, limit)
+		events, wake, err := l.after(cursor, limit)
 		if err == nil && len(events) == 0 && q.Get("wait") != "" {
 			d, derr := time.ParseDuration(q.Get("wait"))
 			if derr != nil || d <= 0 || d > time.Minute {
@@ -240,7 +241,7 @@ func (l *Log) Handler() http.Handler {
 				return
 			}
 			select {
-			case <-l.wait():
+			case <-wake:
 				events, err = l.After(cursor, limit)
 			case <-time.After(d):
 			case <-req.Context().Done():

@@ -107,6 +107,31 @@ func TestHTTPLongPoll(t *testing.T) {
 	}
 }
 
+// TestEmptyReadWakeChannel pins the long-poll wake-up: the channel handed
+// out with an empty read is the one the next Publish closes, so an event
+// published after the read but before the poller waits still wakes it.
+func TestEmptyReadWakeChannel(t *testing.T) {
+	l := NewLog()
+	events, wake, err := l.after(0, 10)
+	if err != nil || len(events) != 0 {
+		t.Fatalf("empty log read = %v, %v", events, err)
+	}
+	select {
+	case <-wake:
+		t.Fatal("wake channel closed before any publish")
+	default:
+	}
+	l.Publish("pastebin", "u", time.Now(), nil)
+	select {
+	case <-wake:
+	default:
+		t.Fatal("publish after an empty read left its wake channel open")
+	}
+	if events, _, _ = l.after(0, 10); len(events) != 1 {
+		t.Fatalf("read after publish = %v, want one event", events)
+	}
+}
+
 func TestHTTPLongPollTimeout(t *testing.T) {
 	l := NewLog()
 	srv := httptest.NewServer(l.Handler())

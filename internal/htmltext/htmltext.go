@@ -229,46 +229,60 @@ func appendItoa(b []byte, n int) []byte {
 }
 
 // htmlMarkers are the tag probes IsProbablyHTML counts, ASCII-lowercase.
+// Each starts with '<' and holds no other '<', so no marker can overlap
+// itself, and no two share their second byte, so at most one matches at
+// any position.
 var htmlMarkers = [...]string{"<br", "<p", "<div", "<span", "<a ", "<ul", "<li", "</"}
 
 // IsProbablyHTML reports whether a document looks like HTML rather than
-// plain text, so the pipeline can decide whether conversion is needed.
-// Marker counting is ASCII-case-insensitive over the raw sample — no
-// lowercased copy is materialized, so the probe allocates nothing.
+// plain text, so the pipeline can decide whether conversion is needed: it
+// does when at least two marker tags (htmlMarkers, ASCII-case-insensitive)
+// start within the first 2048 bytes and end inside them.
+//
+// The probe runs on every plain-text paste, so it is one pass that hops
+// between the sample's '<' bytes with strings.IndexByte, tests the markers
+// only there and stops at the second match. Because markers cannot
+// overlap, this counts exactly what per-marker non-overlapping occurrence
+// counting over the sample does. It allocates nothing.
 func IsProbablyHTML(s string) bool {
 	sample := s
 	if len(sample) > 2048 {
 		sample = sample[:2048]
 	}
 	tags := 0
-	for _, marker := range htmlMarkers {
-		tags += countFoldASCII(sample, marker)
-	}
-	return tags >= 2
-}
-
-// countFoldASCII counts non-overlapping occurrences of the ASCII-lowercase
-// needle in s, folding A-Z in s on the fly.
-func countFoldASCII(s, needle string) int {
-	count := 0
-	for i := 0; i+len(needle) <= len(s); {
-		match := true
-		for j := 0; j < len(needle); j++ {
-			c := s[i+j]
-			if 'A' <= c && c <= 'Z' {
-				c += 'a' - 'A'
-			}
-			if c != needle[j] {
-				match = false
+	for i := strings.IndexByte(sample, '<'); i >= 0; {
+		rest := sample[i:]
+		for _, marker := range htmlMarkers {
+			if hasPrefixFoldASCII(rest, marker) {
+				if tags++; tags == 2 {
+					return true
+				}
 				break
 			}
 		}
-		if match {
-			count++
-			i += len(needle)
-		} else {
-			i++
+		j := strings.IndexByte(rest[1:], '<')
+		if j < 0 {
+			break
+		}
+		i += 1 + j
+	}
+	return false
+}
+
+// hasPrefixFoldASCII reports whether s starts with the ASCII-lowercase
+// prefix, folding A-Z in s on the fly.
+func hasPrefixFoldASCII(s, prefix string) bool {
+	if len(s) < len(prefix) {
+		return false
+	}
+	for j := 0; j < len(prefix); j++ {
+		c := s[j]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != prefix[j] {
+			return false
 		}
 	}
-	return count
+	return true
 }

@@ -14,9 +14,11 @@
 //     the multibyte rune-vs-byte length rule. The ASCII fast path lowers
 //     bytes in place; the rune fallback applies unicode.ToLower, which is
 //     what strings.ToLower does per rune.
-//   - Term frequencies accumulate in a dense scratch array indexed by
-//     vocabulary position, with a touched-index list replacing the
-//     map[int]float64; counts are order-independent, so totals match.
+//   - Term frequencies accumulate as integer counts in a dense scratch
+//     array indexed by vocabulary position, with a touched-index list
+//     replacing the map[int]float64; counts are order-independent, and
+//     float64(count) is exactly the float64 the reference's repeated ++
+//     reaches, so totals match.
 //   - The touched list is sorted ascending before any float math, so the
 //     norm and dot accumulate in exactly the index order the reference
 //     path uses after its sort.Slice.
@@ -58,25 +60,24 @@ func init() {
 type Scorer struct {
 	vz *Vectorizer
 
-	tf      []float64 // dense term frequencies, indexed by vocab position
-	touched []int     // vocab indices with tf > 0, reset by walking this list
-	tok     []byte    // current token, lowercased, reused across tokens
-	prev    []byte    // previous emitted token (bigram mode)
-	bigram  []byte    // bigram key scratch ("prev cur")
-	tokens  int       // unigram tokens seen by the last scan
+	tf      []uint32 // dense term counts, indexed by vocab position
+	touched []int32  // vocab indices with tf > 0, reset by walking this list
+	tok     []byte   // current token, lowercased, reused across tokens
+	prev    []byte   // previous emitted token (bigram mode)
+	bigram  []byte   // bigram key scratch ("prev cur")
+	tokens  int      // unigram tokens seen by the last scan
 }
 
 // NewScorer returns a fused-inference kernel over the fitted vocabulary.
-// The scorer holds a dense float64 scratch of VocabSize entries; share the
+// The scorer holds a dense count scratch of VocabSize entries; share the
 // Vectorizer, not the Scorer, across goroutines.
 func (vz *Vectorizer) NewScorer() *Scorer {
+	// prev and bigram stay nil until bigram mode first appends to them.
 	return &Scorer{
 		vz:      vz,
-		tf:      make([]float64, len(vz.idf)),
-		touched: make([]int, 0, 256),
+		tf:      make([]uint32, len(vz.idf)),
+		touched: make([]int32, 0, 256),
 		tok:     make([]byte, 0, 64),
-		prev:    make([]byte, 0, 64),
-		bigram:  make([]byte, 0, 128),
 	}
 }
 
@@ -86,7 +87,7 @@ func (s *Scorer) reset() {
 	if len(s.tf) != len(s.vz.idf) {
 		// The vectorizer was fitted after this scorer was built (a pooled
 		// pre-fit scorer): resize the dense scratch to the live vocabulary.
-		s.tf = make([]float64, len(s.vz.idf))
+		s.tf = make([]uint32, len(s.vz.idf))
 		s.touched = s.touched[:0]
 	}
 	for _, idx := range s.touched {
@@ -97,86 +98,98 @@ func (s *Scorer) reset() {
 	s.tokens = 0
 }
 
-// addTerm folds a token (already lowercased) into the TF scratch, plus the
-// adjacent bigram when the vectorizer was fitted with Bigrams. The vocab
-// lookups convert the scratch buffer with string(...) directly in the map
-// index expression, which the compiler performs without allocating.
-func (s *Scorer) addTerm(tok []byte) {
-	if idx, ok := s.vz.vocab[string(tok)]; ok {
-		if s.tf[idx] == 0 {
-			s.touched = append(s.touched, idx)
-		}
-		s.tf[idx]++
-	}
+// addTerm folds a token (already lowercased, hashed by the tokenizer) into
+// the TF scratch, plus the adjacent bigram when the vectorizer was fitted
+// with Bigrams. Both look the vocabulary table up in place on the scratch
+// bytes, so no key is materialized.
+func (s *Scorer) addTerm(tok []byte, h uint64) {
+	s.count(find(&s.vz.vocab, h, tok))
 	if s.vz.opts.Bigrams {
 		if len(s.prev) > 0 {
 			s.bigram = append(s.bigram[:0], s.prev...)
 			s.bigram = append(s.bigram, ' ')
 			s.bigram = append(s.bigram, tok...)
-			if idx, ok := s.vz.vocab[string(s.bigram)]; ok {
-				if s.tf[idx] == 0 {
-					s.touched = append(s.touched, idx)
-				}
-				s.tf[idx]++
-			}
+			s.count(find(&s.vz.vocab, hashOf(s.bigram), s.bigram))
 		}
 		s.prev = append(s.prev[:0], tok...)
 	}
 }
 
-// eachToken is the single-pass byte-level tokenizer shared by the scorer's
+// count adds one occurrence of vocabulary index idx (-1: not in the
+// vocabulary) to the TF scratch.
+func (s *Scorer) count(idx int) {
+	if idx < 0 {
+		return
+	}
+	if s.tf[idx] == 0 {
+		s.touched = append(s.touched, int32(idx))
+	}
+	s.tf[idx]++
+}
+
+// tokenizer is the single-pass byte-level tokenizer shared by the scorer's
 // hot path and Fit's vocabulary pass. ASCII word bytes take the table fast
 // path; anything else falls back to rune decoding so the \w\w+ rune-length
 // semantics match Tokenize exactly, including the multibyte rune-vs-byte
 // length rule (invalid UTF-8 decodes to RuneError, which is not a word
 // character — the same separator behaviour a range loop gives the reference
-// tokenizer). fn receives each token's lowercased bytes in a scratch slice
-// valid only for the duration of the call; buf is the reusable scratch,
-// returned (possibly grown) for the caller to keep. fn must not retain or
-// let its argument escape, or the whole pass allocates.
-func eachToken(doc string, buf []byte, fn func(tok []byte)) []byte {
-	tokRunes := 0
-	tok := buf[:0]
-	flush := func() {
-		if tokRunes >= 2 {
-			fn(tok)
-		}
-		tokRunes = 0
-		tok = tok[:0]
-	}
-	for i := 0; i < len(doc); {
+// tokenizer). Every lowercased byte is folded into the token's vocabulary
+// hash (hashStep) as it is appended, so a lookup never re-reads the token.
+type tokenizer struct {
+	doc string
+	i   int    // next byte of doc to read
+	tok []byte // reusable token scratch; callers keep it across documents
+}
+
+// next returns the next token's lowercased bytes, valid only until the
+// following call, and their hash; ok is false once doc is exhausted.
+func (z *tokenizer) next() (tok []byte, h uint64, ok bool) {
+	doc, i := z.doc, z.i
+	tok, h = z.tok[:0], hashSeed
+	runes := 0
+	for i < len(doc) {
 		if b := doc[i]; b < utf8.RuneSelf {
+			i++
 			if c := asciiWordLower[b]; c != 0 {
 				tok = append(tok, c)
-				tokRunes++
-			} else if tokRunes > 0 {
-				flush()
+				h = hashStep(h, c)
+				runes++
+				continue
 			}
-			i++
-			continue
+		} else {
+			r, size := utf8.DecodeRuneInString(doc[i:])
+			i += size
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				n := len(tok)
+				tok = utf8.AppendRune(tok, unicode.ToLower(r))
+				for _, c := range tok[n:] {
+					h = hashStep(h, c)
+				}
+				runes++
+				continue
+			}
 		}
-		r, size := utf8.DecodeRuneInString(doc[i:])
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			tok = utf8.AppendRune(tok, unicode.ToLower(r))
-			tokRunes++
-		} else if tokRunes > 0 {
-			flush()
+		if runes >= 2 {
+			z.i, z.tok = i, tok
+			return tok, h, true
 		}
-		i += size
+		tok, h, runes = tok[:0], hashSeed, 0
 	}
-	flush()
-	return tok
+	z.i, z.tok = i, tok
+	return tok, h, runes >= 2
 }
 
 // scan walks doc's tokens. When collect is true each token is folded into
 // the TF scratch; either way s.tokens counts the unigram tokens.
 func (s *Scorer) scan(doc string, collect bool) {
-	s.tok = eachToken(doc, s.tok, func(tok []byte) {
+	z := tokenizer{doc: doc, tok: s.tok}
+	for tok, h, ok := z.next(); ok; tok, h, ok = z.next() {
 		s.tokens++
 		if collect {
-			s.addTerm(tok)
+			s.addTerm(tok, h)
 		}
-	})
+	}
+	s.tok = z.tok
 }
 
 // TokenCount returns the document's unigram token count — identical to
@@ -209,7 +222,7 @@ func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, toke
 		if norm > 0 {
 			v /= norm
 		}
-		if idx < len(weights) {
+		if int(idx) < len(weights) {
 			dot += weights[idx] * v
 		}
 	}
@@ -227,7 +240,7 @@ func (s *Scorer) Vector(doc string) Vector {
 	slices.Sort(s.touched)
 	vec := make(Vector, 0, len(s.touched))
 	for _, idx := range s.touched {
-		vec = append(vec, Feature{Index: idx, Value: s.value(idx)})
+		vec = append(vec, Feature{Index: int(idx), Value: s.value(idx)})
 	}
 	if n := vec.Norm(); n > 0 {
 		for i := range vec {
@@ -238,8 +251,8 @@ func (s *Scorer) Vector(doc string) Vector {
 }
 
 // value reproduces Transform's per-feature weight for a touched index.
-func (s *Scorer) value(idx int) float64 {
-	tf := s.tf[idx]
+func (s *Scorer) value(idx int32) float64 {
+	tf := float64(s.tf[idx])
 	if s.vz.opts.SublinearTF {
 		tf = 1 + math.Log(tf)
 	}

@@ -43,7 +43,7 @@ var scorerDocs = []string{
 	"unknown terms only here",
 	"name: John Smith, age: 44, email a@b.com",
 	"NAME NAME name the the THE fox",
-	"é",      // single multibyte rune: not a token
+	"é",     // single multibyte rune: not a token
 	"日本 東京", // multibyte tokens
 	"Éé café CAFÉ",
 	"a b c d ee",
@@ -137,21 +137,30 @@ func TestScorerEquivalenceProperty(t *testing.T) {
 }
 
 // TestScorerZeroAlloc pins the headline property: the fused pass allocates
-// nothing at steady state.
+// nothing at steady state — in unigram and bigram mode, on width-changing
+// lowercase runes, and on out-of-vocabulary neighbours of vocabulary terms.
 func TestScorerZeroAlloc(t *testing.T) {
-	vz, weights := scorerFixture(Options{})
-	s := vz.NewScorer()
-	doc := strings.Repeat("name address phone email dox city state ", 20)
-	s.DotNormalized(doc, weights) // warm the scratch buffers
-	if avg := testing.AllocsPerRun(100, func() {
-		s.DotNormalized(doc, weights)
-	}); avg != 0 {
-		t.Errorf("DotNormalized allocates %.1f per op at steady state, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(100, func() {
-		s.TokenCount(doc)
-	}); avg != 0 {
-		t.Errorf("TokenCount allocates %.1f per op at steady state, want 0", avg)
+	docs := append([]string{
+		strings.Repeat("name address phone email dox city state ", 20),
+		"\u0130stanbul STRA\u1e9eE \u212aelvin café 東京",
+		"emai emails email_ emailx nam names fo foxy",
+	}, scorerDocs...)
+	for _, opts := range []Options{{}, {Bigrams: true}} {
+		vz, weights := scorerFixture(opts)
+		s := vz.NewScorer()
+		for _, doc := range docs {
+			s.DotNormalized(doc, weights) // warm the scratch buffers
+			if avg := testing.AllocsPerRun(50, func() {
+				s.DotNormalized(doc, weights)
+			}); avg != 0 {
+				t.Errorf("opts %+v doc %.30q: DotNormalized allocates %.1f per op at steady state, want 0", opts, doc, avg)
+			}
+			if avg := testing.AllocsPerRun(50, func() {
+				s.TokenCount(doc)
+			}); avg != 0 {
+				t.Errorf("opts %+v doc %.30q: TokenCount allocates %.1f per op at steady state, want 0", opts, doc, avg)
+			}
+		}
 	}
 }
 
@@ -184,7 +193,10 @@ func TestSnapshotAliasing(t *testing.T) {
 
 	// Restore must also defend against later mutation of its inputs.
 	vocab2, idf2, _, _ := vz.Snapshot()
-	restored := Restore(vocab2, idf2, nDocs, opts)
+	restored, err := Restore(vocab2, idf2, nDocs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := restored.Transform(doc)
 	for t2 := range vocab2 {
 		vocab2[t2] = 0

@@ -16,6 +16,7 @@
 package tfidf
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -106,7 +107,7 @@ type Options struct {
 // and safe for concurrent Transform calls.
 type Vectorizer struct {
 	opts  Options
-	vocab map[string]int
+	vocab vocabTable // term → index; term i weighs idf[i]
 	idf   []float64
 	nDocs int
 }
@@ -120,7 +121,7 @@ func NewVectorizer(opts Options) *Vectorizer {
 }
 
 // VocabSize returns the fitted vocabulary size.
-func (vz *Vectorizer) VocabSize() int { return len(vz.vocab) }
+func (vz *Vectorizer) VocabSize() int { return vz.vocab.len() }
 
 // NumDocs returns the size of the fitting corpus.
 func (vz *Vectorizer) NumDocs() int { return vz.nDocs }
@@ -154,7 +155,7 @@ func (vz *Vectorizer) Fit(docs []string) {
 	type dfStat struct{ df, last int32 }
 	idx := make(map[string]int32)
 	slab := make([]dfStat, 0, 1024)
-	tok := make([]byte, 0, 64)
+	z := tokenizer{tok: make([]byte, 0, 64)}
 	var prev, bigram []byte
 	for di, d := range docs {
 		di32 := int32(di)
@@ -170,7 +171,8 @@ func (vz *Vectorizer) Fit(docs []string) {
 			idx[string(key)] = int32(len(slab))
 			slab = append(slab, dfStat{df: 1, last: di32})
 		}
-		tok = eachToken(d, tok, func(t []byte) {
+		z.doc, z.i = d, 0
+		for t, _, ok := z.next(); ok; t, _, ok = z.next() {
 			note(t)
 			if vz.opts.Bigrams {
 				if len(prev) > 0 {
@@ -179,7 +181,7 @@ func (vz *Vectorizer) Fit(docs []string) {
 				}
 				prev = append(prev[:0], t...)
 			}
-		})
+		}
 	}
 	terms := make([]string, 0, len(idx))
 	for t, i := range idx {
@@ -188,11 +190,10 @@ func (vz *Vectorizer) Fit(docs []string) {
 		}
 	}
 	sort.Strings(terms) // deterministic index assignment
-	vz.vocab = make(map[string]int, len(terms))
+	vz.vocab = newVocabTable(terms)
 	vz.idf = make([]float64, len(terms))
 	vz.nDocs = len(docs)
 	for i, t := range terms {
-		vz.vocab[t] = i
 		// Smoothed IDF, sklearn formula.
 		vz.idf[i] = math.Log(float64(1+vz.nDocs)/float64(1+slab[idx[t]].df)) + 1
 	}
@@ -203,7 +204,7 @@ func (vz *Vectorizer) Fit(docs []string) {
 func (vz *Vectorizer) Transform(doc string) Vector {
 	counts := make(map[int]float64)
 	for _, t := range vz.terms(doc) {
-		if idx, ok := vz.vocab[t]; ok {
+		if idx := find(&vz.vocab, hashOf(t), t); idx >= 0 {
 			counts[idx]++
 		}
 	}
@@ -242,14 +243,16 @@ func (vz *Vectorizer) FitTransform(docs []string) []Vector {
 	return vz.TransformAll(docs)
 }
 
-// Snapshot exports the fitted state for persistence. The returned map and
-// slice are deep copies: a Vectorizer is immutable after Fit, and handing
-// out the live vocab/idf would let a caller's mutation corrupt every
-// concurrent Transform.
+// Snapshot exports the fitted state for persistence, rebuilding the
+// term → index map from the vocabulary table. The returned map and slice
+// are fresh copies: a Vectorizer is immutable after Fit, and handing out
+// live state would let a caller's mutation corrupt every concurrent
+// Transform.
 func (vz *Vectorizer) Snapshot() (vocab map[string]int, idf []float64, nDocs int, opts Options) {
-	vocab = make(map[string]int, len(vz.vocab))
-	for t, i := range vz.vocab {
-		vocab[t] = i
+	n := vz.vocab.len()
+	vocab = make(map[string]int, n)
+	for i := 0; i < n; i++ {
+		vocab[string(vz.vocab.term(i))] = i
 	}
 	idf = make([]float64, len(vz.idf))
 	copy(idf, vz.idf)
@@ -257,13 +260,23 @@ func (vz *Vectorizer) Snapshot() (vocab map[string]int, idf []float64, nDocs int
 }
 
 // Restore rebuilds a fitted vectorizer from a Snapshot. It copies its
-// inputs for the same immutability reason Snapshot does.
-func Restore(vocab map[string]int, idf []float64, nDocs int, opts Options) *Vectorizer {
-	v := make(map[string]int, len(vocab))
+// inputs for the same immutability reason Snapshot does. The vocabulary
+// indices must be exactly 0..len(vocab)-1, one weight each in idf: a
+// snapshot read back from disk that breaks this is rejected with an error
+// rather than left to panic inside a later Transform.
+func Restore(vocab map[string]int, idf []float64, nDocs int, opts Options) (*Vectorizer, error) {
+	if len(idf) != len(vocab) {
+		return nil, fmt.Errorf("tfidf: restore: %d idf weights for %d vocabulary terms", len(idf), len(vocab))
+	}
+	terms := make([]string, len(vocab))
+	seen := make([]bool, len(vocab))
 	for t, i := range vocab {
-		v[t] = i
+		if i < 0 || i >= len(terms) || seen[i] {
+			return nil, fmt.Errorf("tfidf: restore: vocabulary index %d for %q is out of range or taken", i, t)
+		}
+		terms[i], seen[i] = t, true
 	}
 	f := make([]float64, len(idf))
 	copy(f, idf)
-	return &Vectorizer{opts: opts, vocab: v, idf: f, nDocs: nDocs}
+	return &Vectorizer{opts: opts, vocab: newVocabTable(terms), idf: f, nDocs: nDocs}, nil
 }

@@ -46,13 +46,13 @@ func TestTokenizeRuneLength(t *testing.T) {
 		in   string
 		want []string
 	}{
-		{"é", nil},            // 2 bytes, 1 rune: not a token
-		{"日", nil},            // 3 bytes, 1 rune: not a token
+		{"é", nil}, // 2 bytes, 1 rune: not a token
+		{"日", nil}, // 3 bytes, 1 rune: not a token
 		{"éé", []string{"éé"}},
 		{"日本", []string{"日本"}},
-		{"é a 日 b", nil},      // all single-rune/char fragments dropped
+		{"é a 日 b", nil}, // all single-rune/char fragments dropped
 		{"café 東京 x", []string{"café", "東京"}},
-		{"É", nil},            // uppercase single rune, still dropped
+		{"É", nil},             // uppercase single rune, still dropped
 		{"Éé", []string{"éé"}}, // lowercased multibyte token
 	}
 	for _, c := range cases {
@@ -109,6 +109,11 @@ func TestFitTransformBasics(t *testing.T) {
 	}
 }
 
+// vocabIndex looks a term up in the fitted vocabulary table, -1 if absent.
+func vocabIndex(vz *Vectorizer, term string) int {
+	return find(&vz.vocab, hashOf(term), term)
+}
+
 func TestIDFWeighting(t *testing.T) {
 	// "common" appears in every doc, "rare" in one; rare must out-weigh
 	// common in the doc containing both once each.
@@ -119,8 +124,8 @@ func TestIDFWeighting(t *testing.T) {
 	vecs := vz.FitTransform(docs)
 	v := vecs[0]
 	var commonW, rareW float64
-	commonIdx := vz.vocab["common"]
-	rareIdx := vz.vocab["rare"]
+	commonIdx := vocabIndex(vz, "common")
+	rareIdx := vocabIndex(vz, "rare")
 	for _, f := range v {
 		if f.Index == commonIdx {
 			commonW = f.Value
@@ -140,12 +145,12 @@ func TestSmoothedIDFFormula(t *testing.T) {
 	vz.Fit(docs)
 	// df(aa)=3, n=4 => idf = ln(5/4)+1
 	want := math.Log(5.0/4.0) + 1
-	if got := vz.idf[vz.vocab["aa"]]; math.Abs(got-want) > 1e-12 {
+	if got := vz.idf[vocabIndex(vz, "aa")]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("idf(aa) = %f, want %f", got, want)
 	}
 	// df(dd)=1 => ln(5/2)+1
 	want = math.Log(5.0/2.0) + 1
-	if got := vz.idf[vz.vocab["dd"]]; math.Abs(got-want) > 1e-12 {
+	if got := vz.idf[vocabIndex(vz, "dd")]; math.Abs(got-want) > 1e-12 {
 		t.Errorf("idf(dd) = %f, want %f", got, want)
 	}
 }
@@ -172,10 +177,10 @@ func TestBigramsOption(t *testing.T) {
 	if bi.VocabSize() <= uni.VocabSize() {
 		t.Errorf("bigram vocab %d should exceed unigram %d", bi.VocabSize(), uni.VocabSize())
 	}
-	if _, ok := bi.vocab["new york"]; !ok {
+	if vocabIndex(bi, "new york") < 0 {
 		t.Error("bigram 'new york' missing from vocabulary")
 	}
-	if _, ok := uni.vocab["new york"]; ok {
+	if vocabIndex(uni, "new york") >= 0 {
 		t.Error("unigram vectorizer learned a bigram")
 	}
 }
@@ -190,10 +195,10 @@ func TestSublinearTF(t *testing.T) {
 	ratio := func(v Vector, vz *Vectorizer) float64 {
 		var w, o float64
 		for _, f := range v {
-			if f.Index == vz.vocab["word"] {
+			if f.Index == vocabIndex(vz, "word") {
 				w = f.Value
 			}
-			if f.Index == vz.vocab["other"] {
+			if f.Index == vocabIndex(vz, "other") {
 				o = f.Value
 			}
 		}
@@ -208,10 +213,10 @@ func TestMinDF(t *testing.T) {
 	docs := []string{"keep drop1", "keep drop2", "keep drop3"}
 	vz := NewVectorizer(Options{MinDF: 2})
 	vz.Fit(docs)
-	if _, ok := vz.vocab["keep"]; !ok {
+	if vocabIndex(vz, "keep") < 0 {
 		t.Error("term above MinDF was dropped")
 	}
-	if _, ok := vz.vocab["drop1"]; ok {
+	if vocabIndex(vz, "drop1") >= 0 {
 		t.Error("term below MinDF was kept")
 	}
 }
@@ -222,12 +227,14 @@ func TestDeterministicIndexing(t *testing.T) {
 	a.Fit(docs)
 	b := NewVectorizer(Options{})
 	b.Fit(docs)
-	if !reflect.DeepEqual(a.vocab, b.vocab) {
+	av, _, _, _ := a.Snapshot()
+	bv, _, _, _ := b.Snapshot()
+	if !reflect.DeepEqual(av, bv) {
 		t.Error("vocabulary indexing not deterministic")
 	}
 	// Sorted assignment: apple < banana < mango < zebra.
-	if a.vocab["apple"] != 0 || a.vocab["zebra"] != 3 {
-		t.Errorf("vocab not sorted: %v", a.vocab)
+	if av["apple"] != 0 || av["zebra"] != 3 {
+		t.Errorf("vocab not sorted: %v", av)
 	}
 }
 

@@ -11,23 +11,31 @@ import (
 // localTransport short-circuits HTTP requests addressed to the study's own
 // loopback services: instead of writing the request onto a TCP socket and
 // parsing it back out of the other side, it invokes the service's wrapped
-// handler (telemetry middleware and fault injector included) directly and
-// adapts the recorded response. The wire path costs ~15 heap objects per
-// request across both net/http state machines — request serialization,
-// textproto header parsing, connection-pool bookkeeping — which at study
-// scale (tens of thousands of fetches per run) dominates the whole
-// pipeline's allocation profile. The in-process path costs a pooled
-// exchange, one header map and one response struct.
+// handler (telemetry middleware and fault injector included) directly, on
+// the caller's goroutine, and adapts the recorded response. The wire path
+// costs ~15 heap objects per request across both net/http state machines —
+// request serialization, textproto header parsing, connection-pool
+// bookkeeping — which at study scale (tens of thousands of fetches per run)
+// dominates the whole pipeline's allocation profile. The in-process path
+// costs a function call: the exchange, its header map and its response
+// struct are all pooled.
 //
 // Behavior matches the wire for everything the Fetcher observes: status
 // codes, headers (Retry-After), bodies, default-200 semantics, and the
 // fault injector's abort modes — a handler panic (http.ErrAbortHandler)
 // before any write surfaces as a connection error from Do, after a partial
 // write as an io.ErrUnexpectedEOF mid-body, exactly the two shapes a
-// severed TCP connection produces. Context cancellation abandons the
-// in-flight handler just as a wire client abandons its connection: the
-// stalled handler keeps running (and unblocks on the request context, as
-// the injector's stall mode does) while the caller returns at its deadline.
+// severed TCP connection produces. A request context that ends while the
+// handler runs fails the round trip with the context's error, as a wire
+// client gives up at its deadline.
+//
+// Handler contract: because the handler runs on the caller's goroutine, a
+// handler that blocks must return once req.Context() ends. The injector's
+// stall mode, the only blocking handler, selects on the request context,
+// so a stall longer than the caller's deadline ends at the deadline.
+//
+// The returned Response and its Header belong to the pooled exchange and
+// stay valid until Body.Close.
 //
 // Hosts without a registered handler fall through to the real transport,
 // so the loopback listeners stay reachable for anything else.
@@ -41,9 +49,10 @@ var errConnAborted = errors.New("core: in-process connection aborted")
 
 // inprocExchange is one request's pooled state. The same struct serves as
 // the handler-side http.ResponseWriter and, once the handler returns, as
-// the client-side response Body over the recorded bytes; Close returns it
-// to the pool.
+// the client-side response Body over the recorded bytes; Close resets it
+// and returns it to the pool.
 type inprocExchange struct {
+	resp  http.Response
 	hdr   http.Header
 	buf   []byte
 	code  int
@@ -55,15 +64,14 @@ type inprocExchange struct {
 }
 
 var exchangePool = sync.Pool{New: func() any {
-	return &inprocExchange{buf: make([]byte, 0, 32<<10), code: http.StatusOK}
+	return &inprocExchange{
+		hdr:  make(http.Header, 4),
+		buf:  make([]byte, 0, 32<<10),
+		code: http.StatusOK,
+	}
 }}
 
-func (x *inprocExchange) Header() http.Header {
-	if x.hdr == nil {
-		x.hdr = make(http.Header, 4)
-	}
-	return x.hdr
-}
+func (x *inprocExchange) Header() http.Header { return x.hdr }
 
 func (x *inprocExchange) WriteHeader(code int) {
 	if !x.wrote {
@@ -73,11 +81,17 @@ func (x *inprocExchange) WriteHeader(code int) {
 }
 
 func (x *inprocExchange) Write(b []byte) (int, error) {
-	if !x.wrote {
-		x.wrote = true
-	}
+	x.wrote = true
 	x.buf = append(x.buf, b...)
 	return len(b), nil
+}
+
+// WriteString appends a string body without the []byte conversion
+// io.WriteString would otherwise make.
+func (x *inprocExchange) WriteString(s string) (int, error) {
+	x.wrote = true
+	x.buf = append(x.buf, s...)
+	return len(s), nil
 }
 
 func (x *inprocExchange) Read(p []byte) (int, error) {
@@ -97,7 +111,8 @@ func (x *inprocExchange) Close() error {
 		return nil
 	}
 	x.closed = true
-	x.hdr = nil
+	x.resp = http.Response{}
+	clear(x.hdr)
 	x.buf = x.buf[:0]
 	x.code = http.StatusOK
 	x.wrote = false
@@ -105,6 +120,18 @@ func (x *inprocExchange) Close() error {
 	x.abortErr = nil
 	exchangePool.Put(x)
 	return nil
+}
+
+// serve runs h on the calling goroutine and reports whether it panicked.
+// Any panic counts as an abort, as net/http's server treats it.
+func (x *inprocExchange) serve(h http.Handler, req *http.Request) (aborted bool) {
+	defer func() {
+		if recover() != nil {
+			aborted = true
+		}
+	}()
+	h.ServeHTTP(x, req)
+	return false
 }
 
 func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -118,23 +145,14 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	x := exchangePool.Get().(*inprocExchange)
 	x.closed = false
-	done := make(chan struct{})
-	var panicked any
-	go func() {
-		defer func() {
-			panicked = recover()
-			close(done)
-		}()
-		h.ServeHTTP(x, req)
-	}()
-	select {
-	case <-ctx.Done():
-		// The handler may still be running and writing into x, so x is
-		// abandoned to the GC rather than pooled.
-		return nil, ctx.Err()
-	case <-done:
+	aborted := x.serve(h, req)
+	if err := ctx.Err(); err != nil {
+		// The deadline passed while the handler ran (a stall unblocked by
+		// the request context): the wire client has already given up.
+		_ = x.Close()
+		return nil, err
 	}
-	if panicked != nil && !x.wrote {
+	if aborted && !x.wrote {
 		// Abort before any response bytes (the injector's reset mode):
 		// the wire client's Do fails with a connection error.
 		_ = x.Close()
@@ -146,13 +164,13 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 			cl = n
 		}
 	}
-	if panicked != nil && int64(len(x.buf)) < cl {
+	if aborted && int64(len(x.buf)) < cl {
 		// Abort mid-body with the full Content-Length advertised (stall and
 		// truncate modes): the wire client reads a short body ending in an
 		// unexpected EOF.
 		x.abortErr = io.ErrUnexpectedEOF
 	}
-	return &http.Response{
+	x.resp = http.Response{
 		StatusCode:    x.code,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
@@ -161,5 +179,6 @@ func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		Body:          x,
 		ContentLength: cl,
 		Request:       req,
-	}, nil
+	}
+	return &x.resp, nil
 }

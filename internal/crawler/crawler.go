@@ -505,15 +505,21 @@ func putReadBuf(bp *[]byte) {
 	readBufPool.Put(bp)
 }
 
-// appendAll is io.ReadAll into a caller-owned buffer: appends r's bytes to
-// buf, growing as needed, with io.EOF mapped to success and every other
-// error (including io.ErrUnexpectedEOF) passed through.
-func appendAll(r io.Reader, buf []byte) ([]byte, error) {
-	for {
+// maxBody caps how much of one response body is read; a longer advertised
+// Content-Length then surfaces as a truncated body.
+const maxBody = 16 << 20
+
+// appendAll is io.ReadAll into a caller-owned buffer, bounded at limit
+// bytes: appends r's bytes to buf, growing as needed, and stops without
+// reading further once buf holds limit bytes. io.EOF maps to success and
+// every other error (including io.ErrUnexpectedEOF) passes through.
+func appendAll(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	for len(buf) < limit {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
+		room := buf[len(buf):min(cap(buf), limit)]
+		n, err := r.Read(room)
 		buf = buf[:len(buf)+n]
 		if err != nil {
 			if err == io.EOF {
@@ -522,6 +528,7 @@ func appendAll(r io.Reader, buf []byte) ([]byte, error) {
 			return buf, err
 		}
 	}
+	return buf, nil
 }
 
 // once runs a single fetch attempt. On success the body is returned in a
@@ -565,7 +572,7 @@ func (f *Fetcher) once(ctx context.Context, url string) (*[]byte, error) {
 	// The body read runs under the same per-attempt deadline as the dial,
 	// so a stalled transfer ends in a timeout, not a hung poll.
 	bp := readBufPool.Get().(*[]byte)
-	body, err := appendAll(io.LimitReader(resp.Body, 16<<20), (*bp)[:0])
+	body, err := appendAll(resp.Body, (*bp)[:0], maxBody)
 	*bp = body[:0] // keep the grown capacity pooled whatever happens below
 	switch {
 	case err != nil && errors.Is(err, io.ErrUnexpectedEOF):

@@ -2,6 +2,8 @@ package crawler
 
 import (
 	"context"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -405,5 +407,43 @@ func TestBadJSONSurfaced(t *testing.T) {
 	}
 	if _, err := NewBoard(srv.URL, "b", "x", Options{}).Poll(context.Background()); err == nil {
 		t.Error("bad catalog JSON accepted")
+	}
+}
+
+// chunkReader yields its data a few bytes at a time, then err, and counts
+// the bytes handed out.
+type chunkReader struct {
+	data  string
+	chunk int
+	err   error
+	read  int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if r.read == len(r.data) {
+		return 0, r.err
+	}
+	n := copy(p[:min(len(p), r.chunk)], r.data[r.read:])
+	r.read += n
+	return n, nil
+}
+
+// TestAppendAllLimit: the bounded read stops at exactly limit bytes
+// without reading further, as an io.LimitReader would; a body that ends
+// first keeps its own outcome.
+func TestAppendAllLimit(t *testing.T) {
+	r := &chunkReader{data: strings.Repeat("a", 100), chunk: 7, err: io.ErrUnexpectedEOF}
+	got, err := appendAll(r, make([]byte, 0, 8), 50)
+	if err != nil || len(got) != 50 || r.read != 50 {
+		t.Fatalf("limit 50: got %d bytes, read %d, err %v; want 50, 50, nil", len(got), r.read, err)
+	}
+	r = &chunkReader{data: strings.Repeat("b", 30), chunk: 7, err: io.ErrUnexpectedEOF}
+	got, err = appendAll(r, nil, 50)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || string(got) != strings.Repeat("b", 30) {
+		t.Fatalf("short body: got %d bytes, err %v; want 30 and io.ErrUnexpectedEOF", len(got), err)
+	}
+	r = &chunkReader{data: "exact", chunk: 2, err: io.EOF}
+	if got, err = appendAll(r, nil, 5); err != nil || string(got) != "exact" {
+		t.Fatalf("body at the limit: %q, %v", got, err)
 	}
 }

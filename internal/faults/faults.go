@@ -481,19 +481,19 @@ func (in *Injector) bumpPassed() {
 
 // reset closes the client connection abruptly. SetLinger(0) forces a TCP
 // RST instead of a graceful FIN, which is what an overloaded frontend or a
-// mid-path middlebox produces.
+// mid-path middlebox produces. The hijack goes through
+// http.ResponseController, which sees past wrapping writers (the HTTP
+// metrics middleware) to the connection.
 func (in *Injector) reset(w http.ResponseWriter) {
-	if hj, ok := w.(http.Hijacker); ok {
-		if conn, _, err := hj.Hijack(); err == nil {
-			if tcp, ok := conn.(*net.TCPConn); ok {
-				_ = tcp.SetLinger(0)
-			}
-			_ = conn.Close()
-			return
+	if conn, _, err := http.NewResponseController(w).Hijack(); err == nil {
+		if tcp, ok := conn.(*net.TCPConn); ok {
+			_ = tcp.SetLinger(0)
 		}
+		_ = conn.Close()
+		return
 	}
-	// No hijack support (e.g. HTTP/2): aborting the handler still kills
-	// the response mid-flight.
+	// No hijack support (HTTP/2, the in-process transport): aborting the
+	// handler still kills the response mid-flight.
 	panic(http.ErrAbortHandler)
 }
 
@@ -519,9 +519,7 @@ func (in *Injector) partial(w http.ResponseWriter, r *http.Request, mode Mode) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(rec.body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(rec.body[:n])
-	if f, ok := w.(http.Flusher); ok {
-		f.Flush()
-	}
+	_ = http.NewResponseController(w).Flush()
 	if mode == ModeStall {
 		select {
 		case <-time.After(in.p.stallFor()):

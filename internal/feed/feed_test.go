@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"doxmeter/internal/leakcheck"
 	"doxmeter/internal/netid"
 )
 
@@ -132,12 +134,17 @@ func TestEmptyReadWakeChannel(t *testing.T) {
 	}
 }
 
+// TestHTTPLongPollTimeout: a long-poll that times out answers empty and
+// leaves no goroutine behind once its connection is closed. Not parallel:
+// the goroutine count is process-wide.
 func TestHTTPLongPollTimeout(t *testing.T) {
 	l := NewLog()
 	srv := httptest.NewServer(l.Handler())
 	defer srv.Close()
+	tr := &http.Transport{}
+	settle := leakcheck.Mark(t)
 	start := time.Now()
-	resp, err := http.Get(srv.URL + "/events?cursor=0&wait=100ms")
+	resp, err := (&http.Client{Transport: tr}).Get(srv.URL + "/events?cursor=0&wait=100ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,6 +152,33 @@ func TestHTTPLongPollTimeout(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 80*time.Millisecond || elapsed > 3*time.Second {
 		t.Fatalf("timeout poll took %v", elapsed)
 	}
+	tr.CloseIdleConnections()
+	settle()
+}
+
+// TestHTTPLongPollClientCancel: a client that gives up on a long-poll ends
+// the parked handler, and every goroutine of the exchange exits, long
+// before the poll's own wait would have run out. Not parallel: the
+// goroutine count is process-wide.
+func TestHTTPLongPollClientCancel(t *testing.T) {
+	l := NewLog()
+	srv := httptest.NewServer(l.Handler())
+	defer srv.Close()
+	tr := &http.Transport{}
+	defer tr.CloseIdleConnections()
+	settle := leakcheck.Mark(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/events?cursor=0&wait=50s", nil)
+	resp, err := (&http.Client{Transport: tr}).Do(req)
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("cancelled long-poll answered %d", resp.StatusCode)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	settle()
 }
 
 func TestHTTPBadParams(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"doxmeter/internal/crawler"
 	"doxmeter/internal/extract"
 	"doxmeter/internal/feed"
+	"doxmeter/internal/leakcheck"
 	"doxmeter/internal/lease"
 	"doxmeter/internal/notify"
 	"doxmeter/internal/telemetry"
@@ -192,13 +193,17 @@ func TestPollFailureDegrades(t *testing.T) {
 }
 
 // TestCancelledEpochNeverCommits: cancellation mid-poll must abort without
-// invoking commit — a partially-polled day must not fold into the digest.
+// invoking commit — a partially-polled day must not fold into the digest —
+// and must leave no goroutine of the epoch behind; the pipeline's own
+// shard and alert workers, started before the count, stay. Not parallel:
+// the goroutine count is process-wide.
 func TestCancelledEpochNeverCommits(t *testing.T) {
 	p := New(Config[struct{}]{
 		Shards:  1,
 		Prepare: func(d *crawler.Doc) struct{} { return struct{}{} },
 	})
 	defer p.Close()
+	settle := leakcheck.Mark(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	src := Source{Name: "pastebin", Poll: func(ctx context.Context) ([]crawler.Doc, error) {
 		cancel()
@@ -210,6 +215,7 @@ func TestCancelledEpochNeverCommits(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+	settle()
 }
 
 // TestAlertFanoutOrderAndDrain: alerts emitted from commits are delivered

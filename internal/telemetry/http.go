@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -35,6 +36,9 @@ func (h *Hub) Handler() http.Handler {
 }
 
 // statusWriter captures the response code for the request counter.
+// Unwrap exposes the underlying writer to http.ResponseController, so a
+// wrapped handler can still flush and hijack the connection, and
+// WriteString keeps the underlying writer's copy-free string path.
 type statusWriter struct {
 	http.ResponseWriter
 	code int
@@ -44,6 +48,12 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.code = code
 	sw.ResponseWriter.WriteHeader(code)
 }
+
+func (sw *statusWriter) WriteString(s string) (int, error) {
+	return io.WriteString(sw.ResponseWriter, s)
+}
+
+func (sw *statusWriter) Unwrap() http.ResponseWriter { return sw.ResponseWriter }
 
 // HTTPMetrics wraps an http.Handler with per-route request counting and
 // latency histograms:
@@ -58,7 +68,9 @@ func (sw *statusWriter) WriteHeader(code int) {
 // The wrapper deliberately does not recover panics: the fault injector's
 // reset/stall modes abort responses via http.ErrAbortHandler and the
 // net/http server must keep seeing that panic. Aborted requests are simply
-// not counted, like a mid-flight connection loss in a real frontend.
+// not counted, like a mid-flight connection loss in a real frontend. A
+// hijacked connection (the injector's reset mode on a real socket) counts
+// under the status written before the hijack, 200 when none was.
 func HTTPMetrics(reg *Registry, service string, routeOf func(*http.Request) string, next http.Handler) http.Handler {
 	if reg == nil {
 		return next

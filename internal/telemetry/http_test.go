@@ -87,6 +87,37 @@ func TestHTTPMetricsMiddleware(t *testing.T) {
 	}
 }
 
+// stringRecorder counts the WriteString calls that reach it.
+type stringRecorder struct {
+	*httptest.ResponseRecorder
+	strings int
+}
+
+func (r *stringRecorder) WriteString(s string) (int, error) {
+	r.strings++
+	return r.ResponseRecorder.WriteString(s)
+}
+
+// TestHTTPMetricsKeepsWriterControls: the wrapped handler still reaches
+// the underlying writer's Flush through http.ResponseController, and a
+// string body reaches its WriteString rather than a []byte copy.
+func TestHTTPMetricsKeepsWriterControls(t *testing.T) {
+	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "partial")
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			t.Errorf("Flush through the metrics wrapper: %v", err)
+		}
+	})
+	rec := &stringRecorder{ResponseRecorder: httptest.NewRecorder()}
+	HTTPMetrics(NewRegistry(), "pastebin", nil, inner).ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if !rec.Flushed {
+		t.Error("the underlying writer was never flushed")
+	}
+	if rec.strings != 1 || rec.Body.String() != "partial" {
+		t.Errorf("WriteString calls = %d, body %q; want 1 and \"partial\"", rec.strings, rec.Body.String())
+	}
+}
+
 func TestHTTPMetricsNilRegistryPassThrough(t *testing.T) {
 	inner := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(204) })
 	h := HTTPMetrics(nil, "x", nil, inner)

@@ -2,18 +2,24 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race fuzz-smoke chaos resume-soak stream-soak shard-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
+.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak stream-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
 
 all: check
 
-# The default verification path: build, vet, tests, the race detector
-# over the concurrent pipeline (crawler fan-out, worker pool, monitor
-# sweep, chaos suite), a short fuzz smoke over every parser that eats
-# network bytes, and the hot-path benchmark regression gate.
-check: build vet test test-race fuzz-smoke bench-check
+# The default verification path: build, a gofmt check over every tracked
+# Go file, vet, tests, the race detector over the concurrent pipeline
+# (crawler fan-out, worker pool, monitor sweep, chaos suite), a short fuzz
+# smoke over every parser that eats network bytes, and the hot-path
+# benchmark regression gate.
+check: build fmt-check vet test test-race fuzz-smoke bench-check
 
 build:
 	$(GO) build ./...
+
+# Fails, listing the files, when any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -58,12 +64,8 @@ chaos:
 	$(GO) test -count=1 -timeout 30m \
 		-run 'TestStreamBitIdentical|TestStreamResumeBitIdentical|TestStreamDigestMatchesBatch|TestStreamServiceResume' \
 		-v ./internal/core
-	$(GO) test -count=1 -timeout 30m \
-		-run 'TestShardedStudyBitIdentical|TestShardedLeaseAudit' \
-		-v ./internal/core
 	$(MAKE) resume-soak
 	$(MAKE) stream-soak
-	$(MAKE) shard-soak
 	$(MAKE) fuzz-smoke FUZZTIME=30s
 
 # Randomized kill/resume soak: durable studies killed at random day
@@ -81,14 +83,6 @@ stream-soak:
 	DOXMETER_STREAM_SOAK=1 $(GO) test -race -count=1 -timeout 30m \
 		-run 'TestStreamSoak' -v ./internal/core
 
-# Randomized sharded soak: multi-worker studies with random shard counts,
-# worker-kill schedules and process kill/resume chains, each compared bit
-# for bit (records, tables, run digest) against the single-worker
-# baseline. Seed logged for exact replay.
-shard-soak:
-	DOXMETER_SHARD_SOAK=1 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestShardSoak' -v ./internal/core
-
 # Regenerate every table and figure (scale 0.25 shared study; ~3-5 min).
 bench:
 	$(GO) test -bench=. -benchmem -run NONE .
@@ -99,10 +93,12 @@ bench:
 # corpus slice), all cheap to set up, plus the delta
 # checkpoint pair, which share one delta-mode study built on first use —
 # the setup run is a few minutes, the gate keeps the <50 ms/<5 MB
-# incremental-day budget honest. Calibrate is the fixed machine-speed
+# incremental-day budget honest. Study (one miniature study at a fixed
+# seed, NewStudy plus Run) is the whole-pipeline allocation gate.
+# Calibrate is the fixed machine-speed
 # reference benchjson uses to normalize the gate against CPU-frequency
 # and noisy-neighbor drift between the baseline run and the check run.
-HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|IsProbablyHTML|PrepareBatch|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|ShardedStudy
+HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|IsProbablyHTML|PrepareBatch|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|Study$$
 
 # Faster spot check of the headline artifacts.
 bench-quick:
@@ -140,17 +136,17 @@ bench-check:
 			-max-alloc-regress $(MAX_ALLOC_REGRESS) -out /dev/null
 
 # CPU, heap and allocation profiles from the two pipeline-level benchmarks
-# (the sharded end-to-end study and the streaming throughput run), written
+# (the whole-study run and the streaming throughput run), written
 # under profiles/ (gitignored). Read with `go tool pprof profiles/<name>`;
 # -sample_index=alloc_objects on the .mem profiles shows allocation counts,
 # which is what the zero-copy ingest work is budgeted in.
 profile:
 	mkdir -p profiles
-	$(GO) test -bench='ShardedStudy1$$' -benchtime=3x -benchmem -run NONE \
-		-cpuprofile profiles/sharded.cpu -memprofile profiles/sharded.mem -o profiles/doxmeter.test .
+	$(GO) test -bench='Study$$' -benchtime=3x -benchmem -run NONE \
+		-cpuprofile profiles/study.cpu -memprofile profiles/study.mem -o profiles/doxmeter.test .
 	$(GO) test -bench='StreamThroughput' -benchtime=10x -benchmem -run NONE \
 		-cpuprofile profiles/stream.cpu -memprofile profiles/stream.mem -o profiles/doxmeter.test .
-	@echo "profiles written; e.g.: go tool pprof -sample_index=alloc_objects profiles/doxmeter.test profiles/sharded.mem"
+	@echo "profiles written; e.g.: go tool pprof -sample_index=alloc_objects profiles/doxmeter.test profiles/study.mem"
 
 # Load-test smoke: doxload drives an in-process doxsites stack for a few
 # seconds and exits nonzero unless at least 20% of requests succeed, so a

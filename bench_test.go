@@ -690,16 +690,13 @@ func BenchmarkStudyEndToEnd(b *testing.B) {
 	}
 }
 
-// --- Sharded execution (the leased multi-worker day loop) ---
-
-// benchShardedStudy runs a small end-to-end study with N leased worker
-// groups. Results are bit-identical across N (the keystone sharding test
-// enforces it); this benchmark tracks what the lease scheduling rounds
-// cost — 1 shard is the classic loop, 4 and 8 pay for acquire/release
-// rounds and the partitioned prepare/sweep phases.
-func benchShardedStudy(b *testing.B, shards int) {
+// BenchmarkStudy is the whole-study allocation gate in bench-check:
+// NewStudy plus Run of a miniature study at one fixed seed, so B/op and
+// allocs/op are comparable across runs (BenchmarkStudyEndToEnd varies
+// the seed per iteration).
+func BenchmarkStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := core.NewStudy(core.StudyConfig{Seed: 1311, Scale: 0.002, ControlSample: 200, Shards: shards})
+		s, err := core.NewStudy(core.StudyConfig{Seed: 1311, Scale: 0.002, ControlSample: 200})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -709,10 +706,6 @@ func benchShardedStudy(b *testing.B, shards int) {
 		s.Close()
 	}
 }
-
-func BenchmarkShardedStudy1(b *testing.B) { benchShardedStudy(b, 1) }
-func BenchmarkShardedStudy4(b *testing.B) { benchShardedStudy(b, 4) }
-func BenchmarkShardedStudy8(b *testing.B) { benchShardedStudy(b, 8) }
 
 // --- Parallelism (the concurrent pipeline's throughput knob) ---
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	doxpipeline [-scale 0.05] [-seed 42] [-parallelism 0] [-faults off] [-progress] [-json]
-//	            [-stream] [-shards 4]
+//	            [-stream]
 //	            [-state-dir dir] [-checkpoint-every 1] [-checkpoint-mode full|delta]
 //	            [-compact-every 8] [-checkpoint-compress] [-resume]
 //	            [-admin addr] [-traces out.jsonl]
@@ -16,14 +16,6 @@
 // the funnel, tables and durable run digest are bit-identical to the
 // default batch mode — the queue/backpressure/latency series on /metrics
 // are the only observable difference.
-//
-// With -shards N > 1 the batch day loop runs as N pipeline worker groups
-// that partition the day's work through a leased work queue
-// (internal/lease): source polls, prepare partitions and monitor sweep
-// shards are acquired, executed and released item by item, and a worker
-// that dies mid-day forfeits its leases to the survivors. Results are
-// bit-identical to -shards 1 for any N, faults on or off, and a state
-// dir checkpointed at one shard count resumes cleanly at another.
 //
 // With -state-dir the study is durable: every -checkpoint-every study days
 // (and at period ends) the pipeline state is checkpointed into the
@@ -77,7 +69,6 @@ func main() {
 		adminAddr   = flag.String("admin", "", "serve /metrics, /debug/traces and /debug/pprof on this address during the run (empty = off)")
 		tracesPath  = flag.String("traces", "", "write the study's spans as JSON Lines to this file on exit")
 		streamMode  = flag.Bool("stream", false, "run the always-on streaming pipeline (internal/stream) instead of the batch day loop; results are bit-identical")
-		shards      = flag.Int("shards", 1, "batch-mode pipeline worker groups partitioning the day's work through leased items; results are bit-identical for any N")
 	)
 	var dur stack.Durability
 	dur.RegisterFlags(flag.CommandLine, true)
@@ -118,7 +109,7 @@ func main() {
 	}
 
 	start := time.Now()
-	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Shards: *shards, Parallelism: *parallelism, Progress: progressW, Faults: profile, Checkpoint: ckpt, Telemetry: hub, Stream: streamCfg})
+	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Parallelism: *parallelism, Progress: progressW, Faults: profile, Checkpoint: ckpt, Telemetry: hub, Stream: streamCfg})
 	if err != nil {
 		fatal(err)
 	}
@@ -251,10 +242,6 @@ func main() {
 		if *streamMode {
 			out["stream_epochs"] = int(reg.Sum("doxmeter_stream_epochs_total"))
 			out["stream_backpressure"] = int(reg.Sum("doxmeter_stream_backpressure_total"))
-		}
-		if *shards > 1 {
-			out["shards"] = *shards
-			out["lease_steals"] = s.LeaseSteals()
 		}
 		if dur.Durable() {
 			out["state_dir"] = dur.StateDir

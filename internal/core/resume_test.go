@@ -12,6 +12,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -425,6 +426,65 @@ func scanStateDirForPlants(t *testing.T, dir string, s *core.Study) {
 	}
 }
 
+// TestResumeOverLeaseAuditLog: state dirs written while sharded runs
+// existed carry "lease" steal-audit lines (key and worker fields) in the
+// commit log. Resume reads only day entries, so such a dir must still
+// resume and finish bit-identical to an uninterrupted run.
+func TestResumeOverLeaseAuditLog(t *testing.T) {
+	t.Parallel()
+	base := getBaseline(t, false)
+	dir := t.TempDir()
+	fileStore, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fileStore.Close()
+	s := newDurableStudy(t, resumeCfg(1, false), fileStore)
+	s.Cfg.Progress = &stopAfter{s: s, days: 6}
+	if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	s.Close()
+
+	// Splice audit lines in ahead of the last day entry, where a sharded
+	// run appended them (steals happen mid-day, before the day commits).
+	logPath := filepath.Join(dir, "commits.log")
+	raw, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(raw), "\n")
+	lastDay := -1
+	for i, l := range lines {
+		if strings.Contains(l, `"kind":"day"`) {
+			lastDay = i
+		}
+	}
+	if lastDay < 0 {
+		t.Fatal("commit log holds no day entry")
+	}
+	audit := `{"kind":"lease","seq":5,"vtime":"2016-05-07T00:00:00Z","key":"poll/pastebin","worker":2}` + "\n" +
+		`{"kind":"lease","seq":5,"vtime":"2016-05-07T00:00:00Z","key":"prep/3","worker":1}` + "\n"
+	spliced := strings.Join(lines[:lastDay], "") + audit + strings.Join(lines[lastDay:], "")
+	if err := os.WriteFile(logPath, []byte(spliced), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := newDurableStudy(t, resumeCfg(1, false), fileStore)
+	info, err := resumed.Resume()
+	if err != nil {
+		t.Fatalf("Resume over a log with lease lines: %v", err)
+	}
+	if !info.Resumed {
+		t.Fatal("Resume found no checkpoint")
+	}
+	if err := resumed.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resumed.Close()
+	compareStudies(t, base.s, resumed, base.tables, renderAnalyses(resumed))
+}
+
 // TestResumeValidation covers the guard rails: Resume without a
 // checkpoint config, resume of a fresh store, and cross-study mismatches.
 func TestResumeValidation(t *testing.T) {
@@ -461,6 +521,52 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("Resume accepted a snapshot from a different seed")
 	}
 	other.Close()
+}
+
+// TestResumeRejectsNegativeNextIdx: a state dir whose monitor component
+// carries a negative schedule position (corruption or tampering) must make
+// Resume fail. Accepting it left Run to panic with an index out of range
+// in the first monitor sweep.
+func TestResumeRejectsNegativeNextIdx(t *testing.T) {
+	t.Parallel()
+	mem := store.NewMem()
+	s := newDurableStudy(t, resumeCfg(1, false), mem)
+	s.Cfg.Progress = &stopAfter{s: s, days: 5}
+	if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	s.Close()
+
+	snap, err := mem.LoadSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mon map[string]any
+	if err := json.Unmarshal(snap.Components["monitor"], &mon); err != nil {
+		t.Fatal(err)
+	}
+	tampered := 0
+	for _, h := range mon["histories"].([]any) {
+		if h := h.(map[string]any); h["finished"] != true {
+			h["next_idx"] = -3
+			tampered++
+		}
+	}
+	if tampered == 0 {
+		t.Fatal("snapshot holds no unfinished monitor history to tamper with")
+	}
+	if snap.Components["monitor"], err = json.Marshal(mon); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mem.SaveSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+
+	resumed := newDurableStudy(t, resumeCfg(1, false), mem)
+	defer resumed.Close()
+	if info, err := resumed.Resume(); err == nil {
+		t.Fatalf("Resume over %d negative next_idx histories = %+v, nil; want an error", tampered, info)
+	}
 }
 
 // TestStudyConfigValidate pins the uniform Validate contract: zero values

@@ -207,9 +207,7 @@ func doxStateOf(d *DoxRecord) doxState {
 // boundary by iterating the component registry: core funnel state, dedup
 // indexes, monitor histories, every crawler's cursor/seen state, and any
 // attached mitigation services (whose snapshots obey the same §3.3
-// discipline: salted digests and hashes only). Sharded providers merge
-// into the same canonical payloads a single-worker study writes, so the
-// snapshot is byte-identical at any Shards setting.
+// discipline: salted digests and hashes only).
 func (s *Study) Snapshot(periodNo, day int) (*store.Snapshot, error) {
 	comps := make(map[string]json.RawMessage, s.registry.Len())
 	if err := s.registry.Each(func(c store.Component, _ bool) error {

@@ -32,7 +32,6 @@ import (
 	"doxmeter/internal/faults"
 	"doxmeter/internal/htmltext"
 	"doxmeter/internal/label"
-	"doxmeter/internal/lease"
 	"doxmeter/internal/monitor"
 	"doxmeter/internal/netid"
 	"doxmeter/internal/osn"
@@ -64,19 +63,6 @@ type StudyConfig struct {
 	// LabelSample is how many flagged doxes the analyst labels; 0 uses
 	// the paper's 464 (capped at the number available).
 	LabelSample int
-	// Shards is the number of pipeline worker groups run against this one
-	// logical study (0 or 1 means the classic single-worker loop). With
-	// Shards > 1 each study day's work — source polls, document prepare
-	// partitions, monitor sweep shards — is partitioned into leased work
-	// items (internal/lease) that the worker groups acquire, execute and
-	// release; the dedup index and monitor schedule are sharded by key
-	// hash behind merge-on-snapshot wrappers. Results are bit-identical
-	// to a Shards=1 run at any worker count, with faults on or off and
-	// across kill/resume of any subset of workers (the keystone sharding
-	// test): all state mutation still happens on the driver goroutine in
-	// (Posted, Site, ID) order, and checkpoints merge per-shard state
-	// into the same canonical components a single-worker run writes.
-	Shards int
 	// Parallelism bounds every concurrent stage of the pipeline: the
 	// per-day source-poll fan-out, the in-crawler body/thread fetch
 	// concurrency, the CPU-hot per-document worker pool
@@ -145,14 +131,10 @@ const (
 	CheckpointDelta CheckpointMode = "delta"
 )
 
-// StreamConfig parameterizes the streaming service mode.
+// StreamConfig parameterizes the streaming service mode. The pipeline
+// runs one prepare worker per unit of Parallelism, with documents routed
+// to workers by key hash, and the stream package's default channel bound.
 type StreamConfig struct {
-	// Shards is the number of persistent prepare workers; 0 follows
-	// Parallelism. Documents route to shards by key hash.
-	Shards int
-	// Buffer bounds every stage channel (backpressure, never drops);
-	// 0 means the stream package default (64).
-	Buffer int
 	// Fanout, when non-nil, receives every committed unique dox live on
 	// the alert worker: notification registry, anti-SWATing watchlist,
 	// threat-exchange feed (any subset). Attached services are included
@@ -199,9 +181,6 @@ func (c StudyConfig) Validate() error {
 	if c.LabelSample < 0 {
 		return bad("LabelSample", c.LabelSample)
 	}
-	if c.Shards < 0 {
-		return bad("Shards", c.Shards)
-	}
 	if err := c.Crawl.Validate(); err != nil {
 		return fmt.Errorf("%w: Crawl: %w", ErrInvalidConfig, err)
 	}
@@ -228,14 +207,6 @@ func (c StudyConfig) Validate() error {
 			}
 		default:
 			return bad("Checkpoint.Mode", ck.Mode)
-		}
-	}
-	if sc := c.Stream; sc != nil {
-		if sc.Shards < 0 {
-			return bad("Stream.Shards", sc.Shards)
-		}
-		if sc.Buffer < 0 {
-			return bad("Stream.Buffer", sc.Buffer)
 		}
 	}
 	return nil
@@ -274,16 +245,6 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	}
 	if c.Parallelism < 1 {
 		c.Parallelism = 1
-	}
-	if c.Shards < 1 {
-		c.Shards = 1
-	}
-	if sc := c.Stream; sc != nil {
-		shards := sc.Shards
-		if shards == 0 {
-			shards = c.Parallelism // already normalized above
-		}
-		c.Stream = &StreamConfig{Shards: shards, Buffer: sc.Buffer, Fanout: sc.Fanout}
 	}
 	if c.Crawl.Seed == 0 {
 		c.Crawl.Seed = c.Seed ^ 0x6665746368 // "fetch"
@@ -329,8 +290,8 @@ type Study struct {
 
 	Classifier *classifier.Classifier
 	ClfEval    classifier.EvalResult
-	Deduper    *dedup.Sharded
-	Monitor    *monitor.Sharded
+	Deduper    *dedup.Deduper
+	Monitor    *monitor.Monitor
 
 	services []*service
 	crawlers struct {
@@ -343,16 +304,11 @@ type Study struct {
 	// registry is the table of checkpoint components (see components.go);
 	// the snapshot, restore and delta paths iterate it.
 	registry *store.Registry
-	// driver runs the leased multi-worker day loop when Cfg.Shards > 1.
-	driver *shardDriver
 
 	// Streaming service mode (StudyConfig.Stream): the persistent
 	// pipeline and the attached alert fan-out; both nil in batch mode.
 	pipeline *stream.Pipeline[Prepared]
 	fanout   *stream.Fanout
-	// streamLeases is the ownership queue the pipeline's prepare shards
-	// hold their "prepare/<i>" keys in (streaming mode only).
-	streamLeases *lease.Queue
 
 	// probeKernel/probeExt back the doxmeter_extract_allocs_per_doc gauge:
 	// one flagged document per batch is re-extracted into this warm scratch
@@ -442,7 +398,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	s := &Study{
 		Cfg:             cfg,
 		Clock:           simclock.NewClock(simclock.Period1.Start),
-		Deduper:         dedup.NewSharded(cfg.Shards),
+		Deduper:         dedup.New(),
 		CollectedBySite: make(map[string]int),
 		Injectors:       make(map[string]*faults.Injector),
 		PollFailures:    make(map[string]int),
@@ -585,14 +541,14 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	}
 	mopts := opts
 	mopts.TelemetrySite = "monitor"
-	s.Monitor = monitor.NewSharded(monitor.Config{
+	s.Monitor = monitor.New(monitor.Config{
 		Clock:       s.Clock,
 		BaseURL:     osnSvc.BaseURL,
 		EndAt:       simclock.Period2.End,
 		Fetch:       &mopts,
 		Parallelism: cfg.Parallelism,
 		Telemetry:   reg,
-	}, cfg.Shards)
+	})
 	// Streaming service mode: stand up the persistent pipeline. Prepare
 	// is the same stateless kernel the batch path uses; Deliver hands
 	// committed detections to the attached mitigation services on the
@@ -604,26 +560,12 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 			deliver = sc.Fanout.Deliver
 		}
 		s.pipeline = stream.New(stream.Config[Prepared]{
-			Shards:          sc.Shards,
-			Buffer:          sc.Buffer,
+			Shards:          cfg.Parallelism,
 			PollParallelism: cfg.Parallelism,
 			Prepare:         func(doc *crawler.Doc) Prepared { return s.prepareDoc(doc) },
 			Deliver:         deliver,
 			Telemetry:       reg,
 		})
-		// The prepare shards hold leased ownership keys: shard i owns
-		// "prepare/<i>" on the study's virtual clock, renewed every epoch.
-		// The TTL spans two epochs (one virtual day each), so a pipeline
-		// that stops renewing forfeits its shards to a successor — the
-		// same crash model as the sharded batch driver.
-		q, err := lease.New(48 * time.Hour)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.pipeline.AttachLeases(q, 1, s.Clock.Now); err != nil {
-			return nil, err
-		}
-		s.streamLeases = q
 	}
 	// One table of checkpoint components; snapshot, restore and delta
 	// cuts all iterate it (see components.go).
@@ -640,11 +582,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 			}
 			return nil
 		})
-	}
-	// Multi-worker mode: the leased work-queue driver owns the day loop's
-	// poll, prepare and sweep phases.
-	if cfg.Shards > 1 {
-		s.driver = newShardDriver(s)
 	}
 	return s, nil
 }
@@ -673,7 +610,6 @@ func (s *Study) FaultCounters() faults.Counters {
 // services. Idempotent.
 func (s *Study) Close() {
 	if s.pipeline != nil {
-		s.pipeline.ReleaseLeases()
 		s.pipeline.Close()
 	}
 	for _, svc := range s.services {
@@ -741,8 +677,6 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 		collect := s.collectOnce
 		if s.pipeline != nil {
 			collect = s.collectStream
-		} else if s.driver != nil {
-			collect = s.driver.collectDay
 		}
 		if err := collect(dayCtx, p, periodNo); err != nil {
 			daySpan.End()
@@ -750,14 +684,7 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 		}
 		monStart := time.Now()
 		_, monSpan := s.m.span(dayCtx, "monitor")
-		// In sharded mode with a parallel sweep the monitor shards are
-		// leased work items; the serial sweep interleaves scrape and
-		// commit globally, which only the unified ProcessDue can do.
-		sweep := s.Monitor.ProcessDue
-		if s.driver != nil && s.Cfg.Parallelism > 1 {
-			sweep = s.driver.monitorDay
-		}
-		if err := sweep(ctx); err != nil {
+		if err := s.Monitor.ProcessDue(ctx); err != nil {
 			if ctx.Err() != nil {
 				monSpan.End()
 				daySpan.End()
@@ -1048,7 +975,7 @@ func (s *Study) processBatch(ctx context.Context, docs []crawler.Doc, periodNo i
 
 // sortDocs puts one day's batch into the canonical (Posted, Site, ID)
 // commit order. The order is a pure function of the document set, which
-// is what makes results independent of Parallelism and Shards.
+// is what makes results independent of Parallelism.
 func sortDocs(docs []crawler.Doc) {
 	sort.Slice(docs, func(i, j int) bool {
 		if !docs[i].Posted.Equal(docs[j].Posted) {

@@ -182,53 +182,6 @@ func (d *Deduper) Check(docID, body, accountSetKey string) (Verdict, string) {
 	return Unique, ""
 }
 
-// addBody records h→docID unless the hash is already present, returning
-// the first-seen doc ID and whether it was a duplicate. It is the body
-// half of Check, without the verdict counters — Sharded routes the two
-// index halves to different shards and counts verdicts itself.
-func (d *Deduper) addBody(h [32]byte, docID string) (first string, dup bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if first, ok := d.bodies[h]; ok {
-		return first, true
-	}
-	d.bodies[h] = docID
-	if d.journalOn {
-		d.jBodies = append(d.jBodies, h)
-	}
-	return "", false
-}
-
-// addAccount is addBody's account-index counterpart.
-func (d *Deduper) addAccount(k, docID string) (first string, dup bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if first, ok := d.accounts[k]; ok {
-		return first, true
-	}
-	d.accounts[k] = docID
-	if d.journalOn {
-		d.jAccounts = append(d.jAccounts, k)
-	}
-	return "", false
-}
-
-// peekBody checks the body index without recording.
-func (d *Deduper) peekBody(h [32]byte) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	first, ok := d.bodies[h]
-	return first, ok
-}
-
-// peekAccount checks the account index without recording.
-func (d *Deduper) peekAccount(k string) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	first, ok := d.accounts[k]
-	return first, ok
-}
-
 // accountDigest maps a raw account-set key to its stored form. Key
 // equality is preserved (equal keys digest equally; HMAC-SHA256
 // collisions are negligible), so verdicts are unchanged by the

@@ -314,7 +314,7 @@ func TestPrefilterCaseFoldSoundness(t *testing.T) {
 		user    string
 	}{
 		{"check FACEBOOK.COM/bob.smith out", netid.Facebook, "bob.smith"},
-		{"facebooK.com/bob.smith", netid.Facebook, "bob.smith"},   // KELVIN SIGN for k
+		{"facebooK.com/bob.smith", netid.Facebook, "bob.smith"},     // KELVIN SIGN for k
 		{"inſtagram.com/alice_pics", netid.Instagram, "alice_pics"}, // LONG S for s
 		{"pluſ.google.com/+carolq", netid.GooglePlus, "carolq"},
 	}

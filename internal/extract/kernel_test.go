@@ -82,9 +82,9 @@ func TestKernelURLTable(t *testing.T) {
 		"plus.google.com/++double",
 		"twitch.tv/directory then twitch.tv/streamer_01",
 		"instagram.com/p/Cxyz123 instagram.com/the.real.gram",
-		"www.twitter.com/ab",          // too short after trim
-		"facebook.com/..._...",        // trims to nothing
-		"facebook.com/--ab.cd--",      // trim survivors
+		"www.twitter.com/ab",           // too short after trim
+		"facebook.com/..._...",         // trims to nothing
+		"facebook.com/--ab.cd--",       // trim survivors
 		"facebook.com/twitter.com/bob", // capture swallows a host-looking path
 		"no urls at all",
 		"facebook.com but no slash",
@@ -100,8 +100,8 @@ func TestKernelLabelTable(t *testing.T) {
 		"Twitter: realhandle",
 		"Twitter - realhandle",
 		"Skype Name - john.doe88",
-		"e-mail - someone",       // hyphenated word must not become a label
-		"2016 - present",         // negative lookalike
+		"e-mail - someone", // hyphenated word must not become a label
+		"2016 - present",   // negative lookalike
 		"FB user42",
 		"fb\tuser42",
 		"Face; the_user",
@@ -115,8 +115,8 @@ func TestKernelLabelTable(t *testing.T) {
 		"a very long label that overflows: user99",
 		"label:with:many:colons: user99",
 		"  \t  Twitter:   spaced_out  ",
-		"Twitter -realhandle",  // no space after dash: not a separator
-		"Twitter- realhandle",  // no space before dash either
+		"Twitter -realhandle", // no space after dash: not a separator
+		"Twitter- realhandle", // no space before dash either
 	}
 	for _, c := range cases {
 		checkEquivalence(t, c)
@@ -133,20 +133,20 @@ func TestKernelFieldsTable(t *testing.T) {
 		"irl name: S. Short",
 		"First Name: Maria",
 		"first name - Otto",
-		"x real name: hidden", // prefix without line start: no match
-		"username: notaname",  // "name" mid-word: no ^\s* path
-		"Name:\nJohn",         // \s* crosses the newline
-		"Name:   \n",          // whitespace-only capture suppresses fallback
+		"x real name: hidden",      // prefix without line start: no match
+		"username: notaname",       // "name" mid-word: no ^\s* path
+		"Name:\nJohn",              // \s* crosses the newline
+		"Name:   \n",               // whitespace-only capture suppresses fallback
 		"Name:\n\nfirst name: Zoe", // nameRe fails lines... or does it?
 		"Age: 21",
 		"age;30",
 		"AGE - 7",
 		"age 44",
 		"age99",
-		"page: 12",      // \b guard
-		"age: 200",      // two-digit greed fails on third digit
-		"age: 4",        // below plausibility range
-		"age: 12yrs",    // trailing word char
+		"page: 12",   // \b guard
+		"age: 200",   // two-digit greed fails on third digit
+		"age: 4",     // below plausibility range
+		"age: 12yrs", // trailing word char
 		"Age: 0x21",
 		"Name: John Smith\r\nAge: 21\r\n", // CRLF line endings
 	}
@@ -164,14 +164,14 @@ func TestKernelPhoneTable(t *testing.T) {
 		"+15551234567",
 		"1-555-123-4567",
 		"1.555.123.4567",
-		"5551234567",       // no separator: no match
-		"555-1234",         // too short
-		"x555-123-4567y",   // no \b in phoneRe: matches embedded
-		"1234-567-8901",    // leading 1 consumed as country code
+		"5551234567",     // no separator: no match
+		"555-1234",       // too short
+		"x555-123-4567y", // no \b in phoneRe: matches embedded
+		"1234-567-8901",  // leading 1 consumed as country code
 		"+1(555)123.4567",
-		"555 123\n4567",    // \s separators cross lines
+		"555 123\n4567", // \s separators cross lines
 		"00 555-123-4567 11",
-		"+1123456789012",   // 10-digit alternation inside longer run
+		"+1123456789012", // 10-digit alternation inside longer run
 	}
 	for _, c := range cases {
 		checkEquivalence(t, c)
@@ -182,23 +182,23 @@ func TestKernelEmailIPTable(t *testing.T) {
 	cases := []string{
 		"mail me at first.last+tag@mail-host.example.com ok",
 		"a@b.co",
-		"a@b.c",              // TLD too short
+		"a@b.c", // TLD too short
 		"x@@y.com",
-		"a@b.com-xyz",        // domain stops before the dash tail
+		"a@b.com-xyz", // domain stops before the dash tail
 		"a@b.c-d.ef",
 		"weird..dots@sub..domain..org",
 		"no at sign here",
 		"a@b a2@c.com",
-		"a@b.comx@d.com",     // greedy TLD swallows up to the next @
+		"a@b.comx@d.com", // greedy TLD swallows up to the next @
 		"ip 192.168.1.1 and 10.0.0.256 and 8.8.8.8",
 		"1.2.3.007",
-		"1111.2.3.4.5",       // first run too long; later quad still matches
+		"1111.2.3.4.5", // first run too long; later quad still matches
 		"1.2222.3.4",
-		"v1.2.3.4",           // \b guard before first octet
-		"1.2.3.4x",           // \b guard after last octet
+		"v1.2.3.4", // \b guard before first octet
+		"1.2.3.4x", // \b guard after last octet
 		"1.2x3.4.5.6",
 		"255.255.255.255 0.0.0.0",
-		"12.34.56.78.90",     // five runs: leftmost quad wins, tail consumed
+		"12.34.56.78.90", // five runs: leftmost quad wins, tail consumed
 	}
 	for _, c := range cases {
 		checkEquivalence(t, c)
@@ -212,16 +212,16 @@ func TestKernelCreditsTable(t *testing.T) {
 		"CREDIT: someone.else",
 		"Brought To You By the_crew and @ally",
 		"  credit: padded_alias  ",
-		"credit:nospace",         // \s+ requires whitespace after the lead
-		"he was dropped by bob",  // lead not at line start
+		"credit:nospace",        // \s+ requires whitespace after the lead
+		"he was dropped by bob", // lead not at line start
 		"dropped by a, b, c and d",
 		"dropped by @only @handles",
 		"dropped by trailing.dots...",
 		"dropped by (@paren) solo_name",
 		"dropped by x,(@a) thanks to y99z", // replacer spans the paren deletion
 		"dropped by \nnextline_alias",      // \s+ crosses the newline
-		"dropped by ab",                     // too short for validUsername
-		"credit: dropped by nested_alias",   // second lead inside first capture
+		"dropped by ab",                    // too short for validUsername
+		"credit: dropped by nested_alias",  // second lead inside first capture
 		"dropped by Dropped By echo_alias",
 	}
 	for _, c := range cases {
@@ -302,15 +302,15 @@ func TestSplitLabelDash(t *testing.T) {
 // the kernel through the reference path.
 func TestKernelFoldFallback(t *testing.T) {
 	cases := []string{
-		"ſkype: user99",                      // U+017F long s
-		"facebook.com/bobſmith",              // long s inside a capture
-		"YOUTUBE.COM/K-el-vin",               // plain ASCII K
-		"youtube.com/\u212Aelvin_user",       // U+212A Kelvin sign
-		"\u212A age: 12",                     // Kelvin before a word boundary
-		"İRL NAME: Dotted",                   // U+0130 folds to ASCII 'i'
-		"F\u0130RST NAME: Upper",             // dotted İ inside a label
-		"invalid \xff bytes \xfe here",       // invalid UTF-8
-		"Name\u017F: ghost",                  // long s adjacent to a label
+		"ſkype: user99",                // U+017F long s
+		"facebook.com/bobſmith",        // long s inside a capture
+		"YOUTUBE.COM/K-el-vin",         // plain ASCII K
+		"youtube.com/\u212Aelvin_user", // U+212A Kelvin sign
+		"\u212A age: 12",               // Kelvin before a word boundary
+		"İRL NAME: Dotted",             // U+0130 folds to ASCII 'i'
+		"F\u0130RST NAME: Upper",       // dotted İ inside a label
+		"invalid \xff bytes \xfe here", // invalid UTF-8
+		"Name\u017F: ghost",            // long s adjacent to a label
 	}
 	for _, c := range cases {
 		checkEquivalence(t, c)

@@ -100,3 +100,43 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 		t.Fatalf("post-restore delta diverged:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestRestoreRejectsNegativeNextIdx: a negative schedule position in a
+// checkpoint must fail Restore — whether it arrives in a full snapshot or
+// through a delta upsert — instead of panicking in the first sweep after
+// resume, where advance indexes the revisit schedule with it.
+func TestRestoreRejectsNegativeNextIdx(t *testing.T) {
+	r := newRig(t, 0.05)
+	at := simclock.Period1.Start
+	r.doxAndTrack(netid.Facebook, 3, at)
+	r.mon.TrackControl(31337, at)
+	if err := r.mon.ProcessDue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	good := r.mon.Snapshot()
+
+	bad := r.mon.Snapshot()
+	bad.Histories[0].NextIdx = -3
+	if err := r.mon.Restore(bad); err == nil {
+		t.Fatal("Restore accepted a negative next_idx")
+	}
+	if got, want := len(r.mon.Histories()), len(good.Histories); got != want {
+		t.Fatalf("failed Restore replaced the state: %d histories, want %d", got, want)
+	}
+
+	st := r.mon.Snapshot()
+	up := st.Histories[len(st.Histories)-1]
+	up.NextIdx = -1
+	Delta{Requests: st.Requests, Upserts: []HistoryState{up}}.Apply(&st)
+	if err := r.mon.Restore(st); err == nil {
+		t.Fatal("Restore accepted a negative next_idx applied from a delta")
+	}
+
+	if err := r.mon.Restore(good); err != nil {
+		t.Fatalf("Restore of the untouched snapshot: %v", err)
+	}
+	r.clock.Advance(simclock.Day)
+	if err := r.mon.ProcessDue(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -289,42 +289,6 @@ func historyKey(control bool, numericID int64, ref netid.Ref) string {
 	return ref.Key()
 }
 
-// historyKeyOf is historyKey for a live history.
-func historyKeyOf(h *History) string {
-	return historyKey(h.Control, h.NumericID, h.Ref)
-}
-
-// dueNow returns the histories due at now, unsorted. The sharded
-// monitor's sweep paths collect due sets per shard and order them
-// globally.
-func (m *Monitor) dueNow(now time.Time) []*History {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var due []*History
-	for _, h := range m.histories {
-		if !h.finished && !h.nextDue.After(now) {
-			due = append(due, h)
-		}
-	}
-	return due
-}
-
-// trackedCount returns how many accounts the monitor tracks.
-func (m *Monitor) trackedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.histories)
-}
-
-// sweepMetrics records one sweep's instrumentation. The sharded monitor
-// calls it once per global sweep with cross-shard totals (every shard
-// shares the same metric cells via the registry).
-func (m *Monitor) sweepMetrics(due, tracked int) {
-	m.sweepsC.Inc()
-	m.dueG.Set(float64(due))
-	m.trackedG.Set(float64(tracked))
-}
-
 // Histories returns all tracked histories, sorted by account key.
 func (m *Monitor) Histories() []*History {
 	m.mu.Lock()
@@ -421,6 +385,12 @@ func (m *Monitor) Restore(st State) error {
 		network, ok := netid.FromSlug(hs.Network)
 		if !ok {
 			return fmt.Errorf("monitor: restore: unknown network slug %q", hs.Network)
+		}
+		// advance indexes the revisit schedule with next_idx, so a
+		// negative value from a corrupt state dir must fail here, not
+		// panic in the first sweep after resume.
+		if hs.NextIdx < 0 {
+			return fmt.Errorf("monitor: restore: %s:%s has negative next_idx %d", hs.Network, hs.Username, hs.NextIdx)
 		}
 		h := &History{
 			Ref:       netid.Ref{Network: network, Username: hs.Username},

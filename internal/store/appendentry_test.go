@@ -25,7 +25,7 @@ func TestAppendEntryBytesIdentical(t *testing.T) {
 		{Kind: KindSnapshot, Seq: 9, VTime: time.Date(2016, 5, 2, 12, 30, 0, 0, time.UTC), Bytes: 4096},
 		{Kind: KindDelta, Seq: 10, Base: 9, VTime: time.Date(2016, 5, 3, 0, 0, 0, 0, time.UTC)},
 		// Escaping-sensitive content: Marshal HTML-escapes <, > and &.
-		{Kind: KindLease, Key: "board/<b>&co", Worker: 2, VTime: time.Date(2016, 5, 4, 0, 0, 0, 0, time.UTC)},
+		{Kind: KindStop, Period: 2, Day: 4, Digest: "board/<b>&co", VTime: time.Date(2016, 5, 4, 0, 0, 0, 0, time.UTC)},
 	}
 	var want []byte
 	for _, e := range entries {
@@ -58,6 +58,54 @@ func TestAppendEntryBytesIdentical(t *testing.T) {
 	for i := range back {
 		if back[i] != entries[i] {
 			t.Fatalf("entry %d = %+v, want %+v", i, back[i], entries[i])
+		}
+	}
+}
+
+// TestEntriesSkipsRetiredFields: commit logs written while sharded runs
+// existed hold "lease" audit lines carrying key and worker fields that
+// Entry no longer has. They must still decode — unknown JSON fields are
+// ignored — so the lines around them stay readable and such a state dir
+// can still be resumed.
+func TestEntriesSkipsRetiredFields(t *testing.T) {
+	dir := t.TempDir()
+	f, err := OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	day := Entry{Kind: KindDay, Period: 1, Day: 2, VTime: time.Date(2016, 5, 3, 0, 0, 0, 0, time.UTC), Digest: "cd34"}
+	if err := f.AppendEntry(day); err != nil {
+		t.Fatal(err)
+	}
+	old := `{"kind":"lease","seq":4,"vtime":"2016-05-03T00:00:00Z","key":"poll/pastebin","worker":2}` + "\n"
+	lf, err := os.OpenFile(filepath.Join(dir, commitLogName), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lf.WriteString(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := lf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	next := day
+	next.Day = 3
+	if err := f.AppendEntry(next); err != nil {
+		t.Fatal(err)
+	}
+
+	got, err := f.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{day, {Kind: "lease", Seq: 4, VTime: day.VTime}, next}
+	if len(got) != len(want) {
+		t.Fatalf("Entries returned %d entries, want %d: %+v", len(got), len(want), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("entry %d = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -67,9 +67,8 @@ func (r *Registry) Register(c Component) error {
 }
 
 // RegisterOptional adds a component whose payload may be absent from a
-// snapshot (services added after old checkpoints were cut, or the lease
-// queue of a sharded run restored as a plain one). Restore skips it
-// when the snapshot has no payload under its name.
+// snapshot (services added after old checkpoints were cut). Restore
+// skips it when the snapshot has no payload under its name.
 func (r *Registry) RegisterOptional(c Component) error {
 	return r.add(c, true)
 }

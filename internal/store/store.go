@@ -75,7 +75,6 @@ const (
 	KindSnapshot = "snapshot"  // a full snapshot was persisted
 	KindDelta    = "delta"     // an incremental delta cut was persisted
 	KindStop     = "stop"      // the study stopped on request after a checkpoint
-	KindLease    = "lease"     // a work-item lease was stolen from an expired holder
 )
 
 // Entry is one record in the append-only commit log.
@@ -98,10 +97,6 @@ type Entry struct {
 	Digest string `json:"digest,omitempty"`
 	// Bytes is the encoded snapshot size ("snapshot" entries only).
 	Bytes int `json:"bytes,omitempty"`
-	// Key is the work item a lease event concerns ("lease" entries only).
-	Key string `json:"key,omitempty"`
-	// Worker is the worker index that took the lease ("lease" entries only).
-	Worker int `json:"worker,omitempty"`
 }
 
 // Store is the persistence interface a durable study writes through.

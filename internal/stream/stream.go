@@ -27,16 +27,13 @@ package stream
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"doxmeter/internal/crawler"
-	"doxmeter/internal/lease"
 	"doxmeter/internal/parallel"
 	"doxmeter/internal/telemetry"
 )
@@ -135,19 +132,7 @@ type Pipeline[P any] struct {
 	// Written and read only on the RunEpoch caller's goroutine.
 	curSeen time.Time
 
-	// lb, when non-nil, binds the prepare shards to leased ownership keys
-	// (AttachLeases). Touched only on the RunEpoch caller's goroutine.
-	lb *leaseBinding
-
 	m *metrics
-}
-
-// leaseBinding holds a pipeline's shard-ownership leases: shard i holds
-// ShardLeaseKey(i) in the bound queue, renewed at every epoch tick.
-type leaseBinding struct {
-	q      *lease.Queue
-	now    func() time.Time
-	leases []lease.Lease
 }
 
 // New builds the pipeline and starts its persistent stage goroutines.
@@ -197,84 +182,6 @@ func (p *Pipeline[P]) Close() {
 		close(p.done)
 		p.wg.Wait()
 	})
-}
-
-// ShardLeaseKey is the ownership key prepare shard i holds when the
-// pipeline is bound to a lease queue (AttachLeases).
-func ShardLeaseKey(i int) string { return "prepare/" + strconv.Itoa(i) }
-
-// AttachLeases registers this pipeline's prepare shards as the lease
-// holders of their ownership keys in q: a queue epoch is begun with one
-// key per shard (ShardLeaseKey(i)), shard i acquires its key at now(),
-// and every subsequent RunEpoch renews the leases at now() before
-// polling. A pipeline that stops — crash or Close — simply stops
-// renewing, so its keys lapse after the queue TTL and a successor
-// pipeline can attach under a new epoch and take over; that is the same
-// crash model the sharded study driver uses. Returns an error if a key
-// is validly held by another live pipeline bound to the same queue.
-// Must be called before the first RunEpoch, on the owning goroutine.
-//
-// Attaching under a new epoch number claims a fresh item set; attaching
-// under the queue's current epoch joins the existing one — each key is
-// granted only if pending or lapsed (a crashed predecessor's lease is
-// stolen, a live one refuses the claim). BeginEpoch would wipe live
-// leases, so it runs only for a genuinely new epoch.
-func (p *Pipeline[P]) AttachLeases(q *lease.Queue, epoch int, now func() time.Time) error {
-	t := now()
-	keys := make([]string, len(p.in))
-	for i := range keys {
-		keys[i] = ShardLeaseKey(i)
-	}
-	if q.Epoch() != epoch || len(q.Snapshot().Keys) == 0 {
-		q.BeginEpoch(epoch, keys)
-	}
-	lb := &leaseBinding{q: q, now: now}
-	for i, k := range keys {
-		l, ok := q.AcquireKey(k, i, t)
-		if !ok {
-			return fmt.Errorf("stream: shard lease %q is held by another pipeline", k)
-		}
-		lb.leases = append(lb.leases, l)
-	}
-	p.lb = lb
-	return nil
-}
-
-// renewLeases extends the shard-ownership leases at the current virtual
-// time. A lapsed-but-unstolen lease (the clock jumped past the TTL, e.g.
-// across a resume gap) is re-acquired; a stolen one means another live
-// pipeline owns the shards, which is fatal.
-func (p *Pipeline[P]) renewLeases() error {
-	if p.lb == nil {
-		return nil
-	}
-	t := p.lb.now()
-	for i, l := range p.lb.leases {
-		if err := p.lb.q.Renew(l, t); err == nil {
-			continue
-		}
-		nl, ok := p.lb.q.AcquireKey(l.Key, i, t)
-		if !ok {
-			return fmt.Errorf("stream: shard lease %q lost to another pipeline", l.Key)
-		}
-		p.lb.leases[i] = nl
-	}
-	return nil
-}
-
-// ReleaseLeases marks the shard-ownership keys done in the bound queue —
-// the clean-shutdown handoff (a successor attaches under a new epoch, so
-// done keys do not block it). A no-op without AttachLeases.
-func (p *Pipeline[P]) ReleaseLeases() {
-	if p.lb == nil {
-		return
-	}
-	t := p.lb.now()
-	for _, l := range p.lb.leases {
-		// Best-effort: a lapsed lease is already someone else's problem.
-		_ = p.lb.q.Release(l, t)
-	}
-	p.lb = nil
 }
 
 // fnv-1a constants, inlined so shardOf hashes without constructing a
@@ -426,9 +333,6 @@ func (p *Pipeline[P]) EmitAlert(d Detection) {
 // error; after that the pipeline must be closed, not reused.
 func (p *Pipeline[P]) RunEpoch(ctx context.Context, sources []Source, commit func(doc *crawler.Doc, pre P)) (EpochStats, error) {
 	var stats EpochStats
-	if err := p.renewLeases(); err != nil {
-		return stats, err
-	}
 	var pushed atomic.Int64
 	errs := make([]error, len(sources))
 	pollDone := make(chan struct{})

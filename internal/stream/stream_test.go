@@ -13,7 +13,6 @@ import (
 	"doxmeter/internal/extract"
 	"doxmeter/internal/feed"
 	"doxmeter/internal/leakcheck"
-	"doxmeter/internal/lease"
 	"doxmeter/internal/notify"
 	"doxmeter/internal/telemetry"
 	"doxmeter/internal/watchlist"
@@ -348,76 +347,4 @@ func TestClosedPipeline(t *testing.T) {
 	if _, err := p.RunEpoch(context.Background(), []Source{src}, func(*crawler.Doc, struct{}) {}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("err = %v, want ErrClosed", err)
 	}
-}
-
-// TestShardLeases: prepare shards hold their ownership keys across
-// epochs, a second live pipeline is refused, and a successor takes over
-// once the first stops renewing (crash) or releases (clean shutdown).
-func TestShardLeases(t *testing.T) {
-	q, err := lease.New(48 * time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clock := time.Unix(7_000_000, 0).UTC()
-	now := func() time.Time { return clock }
-	newPipe := func() *Pipeline[struct{}] {
-		return New(Config[struct{}]{
-			Shards:  3,
-			Prepare: func(d *crawler.Doc) struct{} { return struct{}{} },
-		})
-	}
-	p := newPipe()
-	if err := p.AttachLeases(q, 1, now); err != nil {
-		t.Fatal(err)
-	}
-	st := q.Snapshot()
-	if len(st.Keys) != 3 || st.Keys[0] != ShardLeaseKey(0) {
-		t.Fatalf("lease keys = %v", st.Keys)
-	}
-
-	// A second live pipeline on the same queue epoch must be refused.
-	rival := newPipe()
-	if err := rival.AttachLeases(q, 1, now); err == nil {
-		t.Fatal("rival pipeline acquired live shard leases")
-	}
-	rival.Close()
-
-	// Epochs renew the leases: advance the clock a day at a time, well past
-	// the original TTL in total; the renewals keep ownership.
-	src := Source{Name: "s", Poll: func(ctx context.Context) ([]crawler.Doc, error) {
-		return []crawler.Doc{doc("s", "x", clock)}, nil
-	}}
-	for i := 0; i < 5; i++ {
-		clock = clock.Add(24 * time.Hour)
-		if _, err := p.RunEpoch(context.Background(), []Source{src}, func(*crawler.Doc, struct{}) {}); err != nil {
-			t.Fatalf("epoch %d: %v", i, err)
-		}
-	}
-	if err := rivalAttach(q, now); err == nil {
-		t.Fatal("renewed leases were stealable")
-	}
-
-	// Crash: the pipeline stops renewing. After the TTL its keys lapse and
-	// a successor (new epoch) takes over.
-	p.Close() // no release — simulated crash
-	clock = clock.Add(72 * time.Hour)
-	succ := newPipe()
-	defer succ.Close()
-	if err := succ.AttachLeases(q, 2, now); err != nil {
-		t.Fatalf("successor after crash: %v", err)
-	}
-
-	// Clean shutdown: release marks the keys done.
-	succ.ReleaseLeases()
-	st = q.Snapshot()
-	if len(st.Done) != 3 {
-		t.Fatalf("released leases: done = %v", st.Done)
-	}
-}
-
-// rivalAttach tries to attach a throwaway pipeline to q's current epoch.
-func rivalAttach(q *lease.Queue, now func() time.Time) error {
-	r := New(Config[struct{}]{Shards: 3, Prepare: func(d *crawler.Doc) struct{} { return struct{}{} }})
-	defer r.Close()
-	return r.AttachLeases(q, q.Epoch(), now)
 }

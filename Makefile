@@ -27,8 +27,12 @@ vet:
 test:
 	$(GO) test ./...
 
+# The second run repeats internal/parallel ten times: its claim counter is
+# shared by every worker of every fan-out, and an interleaving the race
+# detector misses in one run can show in another.
 test-race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 ./internal/parallel
 
 # Native fuzzing, 5s per target: every parser fed by the network (listing,
 # catalog, thread, Retry-After header, profile HTML) plus the text-pipeline

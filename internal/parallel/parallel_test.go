@@ -1,8 +1,12 @@
 package parallel
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"doxmeter/internal/leakcheck"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -123,4 +127,77 @@ func TestForEachWorkerExclusiveIDs(t *testing.T) {
 		}
 		atomic.StoreInt32(&busy[w], 0)
 	})
+}
+
+// TestForEachWorkerRunsConcurrently: with two workers and two items, both
+// calls are in flight at once. Each call marks itself started and then
+// waits for the other to start, so a pool that runs the calls one after
+// another fails here instead of only getting slower.
+func TestForEachWorkerRunsConcurrently(t *testing.T) {
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	ForEachWorker(2, 2, func(_, i int) {
+		close(started[i])
+		select {
+		case <-started[1-i]:
+		case <-time.After(5 * time.Second):
+			t.Errorf("item %d ran for 5s without item %d starting", i, 1-i)
+		}
+	})
+}
+
+// TestForEachWorkerLeavesNoGoroutines: every worker goroutine exits once
+// ForEachWorker returns, whether there are fewer items than workers, as
+// many, or far more.
+func TestForEachWorkerLeavesNoGoroutines(t *testing.T) {
+	const workers = 4
+	for _, n := range []int{2, workers, 1000} {
+		settle := leakcheck.Mark(t)
+		ForEachWorker(n, workers, func(int, int) {})
+		settle()
+	}
+}
+
+// spin is a fixed CPU cost of a few microseconds, the order of one
+// document's fetch or prepare work.
+func spin(seed uint64) uint64 {
+	x := seed | 1
+	for k := 0; k < 1500; k++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+	}
+	return x
+}
+
+// paddedSlot keeps each worker's accumulator on a cache line of its own,
+// so the benchmark measures the pool, not false sharing between workers.
+type paddedSlot struct {
+	v uint64
+	_ [56]byte
+}
+
+var benchSink uint64
+
+// BenchmarkForEachWorker runs 250 items of fixed CPU work, the size of one
+// pastebin listing page, through one and two workers. ns/item is wall time
+// per item: at two workers on two idle cores it should be about half the
+// one-worker figure.
+func BenchmarkForEachWorker(b *testing.B) {
+	const items = 250
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			slots := make([]paddedSlot, workers)
+			b.ResetTimer()
+			for r := 0; r < b.N; r++ {
+				ForEachWorker(items, workers, func(w, i int) {
+					slots[w].v += spin(uint64(i))
+				})
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*items), "ns/item")
+			for _, s := range slots {
+				benchSink += s.v
+			}
+		})
+	}
 }

@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak stream-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
+.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
 
 all: check
 
@@ -35,8 +35,9 @@ test-race:
 	$(GO) test -race -count=10 ./internal/parallel
 
 # Native fuzzing, 5s per target: every parser fed by the network (listing,
-# catalog, thread, Retry-After header, profile HTML) plus the text-pipeline
-# entry points. Each invocation names one target because go test allows
+# catalog, thread, Retry-After header, profile HTML), the text-pipeline
+# entry points and the checkpoint readers (delta codec, full snapshot,
+# commit log). Each invocation names one target because go test allows
 # only one -fuzz pattern per package run.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -53,23 +54,22 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzNormalizeEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/dedup
 	$(GO) test -fuzz=FuzzScorerEquivalence -fuzztime=$(FUZZTIME) -run NONE ./internal/classifier
 	$(GO) test -fuzz=FuzzDeltaCodecRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
+	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
+	$(GO) test -fuzz=FuzzFileEntries -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
 
 # Long chaos soak: the full chaos suites under the race detector, including
 # the study-level heavy-profile soak (DOXMETER_CHAOS_SOAK gates it), the
 # fused-vs-reference kernel equivalence study (sequential and parallel, with
-# fault injection live), the batch-vs-stream keystone (streaming runs must
-# be bit-identical to batch, faults on, across kill/resume), plus the
-# randomized kill/resume and streaming soaks and a longer fuzz pass over
-# the network-facing parsers.
+# fault injection live), the service-mode kill/resume keystone (the §7
+# services rebuilt from checkpoints alone, full and delta cuts), plus the
+# randomized kill/resume soak and a longer fuzz pass over the
+# network-facing parsers and checkpoint readers.
 chaos:
 	DOXMETER_CHAOS_SOAK=1 $(GO) test -race -count=1 -timeout 30m \
 		./internal/faults ./internal/crawler ./internal/monitor
 	$(GO) test -count=1 -timeout 30m -run 'TestStudyKernelEquivalence' -v ./internal/core
-	$(GO) test -count=1 -timeout 30m \
-		-run 'TestStreamBitIdentical|TestStreamResumeBitIdentical|TestStreamDigestMatchesBatch|TestStreamServiceResume' \
-		-v ./internal/core
+	$(GO) test -count=1 -timeout 30m -run 'TestServiceResume' -v ./internal/core
 	$(MAKE) resume-soak
-	$(MAKE) stream-soak
 	$(MAKE) fuzz-smoke FUZZTIME=30s
 
 # Randomized kill/resume soak: durable studies killed at random day
@@ -79,13 +79,6 @@ chaos:
 resume-soak:
 	DOXMETER_RESUME_SOAK=1 $(GO) test -race -count=1 -timeout 30m \
 		-run 'TestResumeSoak' -v ./internal/core
-
-# Randomized streaming soak: always-on pipeline runs with random kill
-# chains, parallelism, fault profiles and checkpoint modes, each compared
-# bit for bit against the batch baseline. Seed logged for exact replay.
-stream-soak:
-	DOXMETER_STREAM_SOAK=1 $(GO) test -race -count=1 -timeout 30m \
-		-run 'TestStreamSoak' -v ./internal/core
 
 # Regenerate every table and figure (scale 0.25 shared study; ~3-5 min).
 bench:
@@ -102,7 +95,7 @@ bench:
 # Calibrate is the fixed machine-speed
 # reference benchjson uses to normalize the gate against CPU-frequency
 # and noisy-neighbor drift between the baseline run and the check run.
-HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|IsProbablyHTML|PrepareBatch|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|StreamThroughput|AlertFanout|Study$$
+HOT_BENCH = Calibrate|ClassifyHot|ClassifyReference|TokenizeZeroAlloc|IsProbablyHTML|PrepareBatch|Extract$$|ExtractFused|CheckpointDelta|CheckpointCompaction|AlertFanout|Study$$
 
 # Faster spot check of the headline artifacts.
 bench-quick:
@@ -139,17 +132,15 @@ bench-check:
 		| $(GO) run ./cmd/benchjson -baseline BENCH_results.json -max-regress $(MAX_REGRESS) \
 			-max-alloc-regress $(MAX_ALLOC_REGRESS) -out /dev/null
 
-# CPU, heap and allocation profiles from the two pipeline-level benchmarks
-# (the whole-study run and the streaming throughput run), written
-# under profiles/ (gitignored). Read with `go tool pprof profiles/<name>`;
-# -sample_index=alloc_objects on the .mem profiles shows allocation counts,
-# which is what the zero-copy ingest work is budgeted in.
+# CPU, heap and allocation profiles from the pipeline-level benchmark
+# (the whole-study run), written under profiles/ (gitignored). Read with
+# `go tool pprof profiles/<name>`; -sample_index=alloc_objects on the .mem
+# profiles shows allocation counts, which is what the zero-copy ingest work
+# is budgeted in.
 profile:
 	mkdir -p profiles
 	$(GO) test -bench='Study$$' -benchtime=3x -benchmem -run NONE \
 		-cpuprofile profiles/study.cpu -memprofile profiles/study.mem -o profiles/doxmeter.test .
-	$(GO) test -bench='StreamThroughput' -benchtime=10x -benchmem -run NONE \
-		-cpuprofile profiles/stream.cpu -memprofile profiles/stream.mem -o profiles/doxmeter.test .
 	@echo "profiles written; e.g.: go tool pprof -sample_index=alloc_objects profiles/doxmeter.test profiles/study.mem"
 
 # Load-test smoke: doxload drives an in-process doxsites stack for a few

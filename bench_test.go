@@ -906,7 +906,7 @@ func BenchmarkExtractFused(b *testing.B) {
 	})
 }
 
-// --- Prepare stage (shared by the batch and stream engines) ---
+// --- Prepare stage ---
 
 // BenchmarkIsProbablyHTML measures the HTML probe on a plain-text paste,
 // the case it runs on for most crawled documents: every paste is probed
@@ -967,49 +967,12 @@ func BenchmarkPrepareBatch(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(docs)), "ns/doc")
 }
 
-// --- Streaming pipeline (the always-on service engine) ---
-
-// BenchmarkStreamThroughput drives full epochs of the always-on pipeline
-// (internal/stream): four sources fan the shared 4,000-document batch into
-// the key-hash prepare shards (running the extractor), the sequencer seals
-// and sorts the epoch, and every document commits in batch order on the
-// driver goroutine. The op is one whole epoch; docs/s is reported as a
-// custom metric.
-func BenchmarkStreamThroughput(b *testing.B) {
-	_, docs := parallelBenchSetup(b)
-	const nSources = 4
-	per := len(docs) / nSources
-	sources := make([]stream.Source, nSources)
-	for si := 0; si < nSources; si++ {
-		batch := docs[si*per : (si+1)*per]
-		sources[si] = stream.Source{
-			Name: fmt.Sprintf("src%d", si),
-			Poll: func(ctx context.Context) ([]crawler.Doc, error) { return batch, nil },
-		}
-	}
-	p := stream.New(stream.Config[*extract.Extraction]{
-		PollParallelism: nSources,
-		Prepare:         func(d *crawler.Doc) *extract.Extraction { return extract.Extract(d.Body) },
-	})
-	defer p.Close()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		stats, err := p.RunEpoch(context.Background(), sources, func(doc *crawler.Doc, ex *extract.Extraction) {})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if stats.Committed != per*nSources {
-			b.Fatalf("epoch committed %d docs, want %d", stats.Committed, per*nSources)
-		}
-	}
-	b.ReportMetric(float64(b.N*per*nSources)/time.Since(start).Seconds(), "docs/s")
-}
+// --- Service mode ---
 
 // BenchmarkAlertFanout measures one detection's §7 fan-out: salted-digest
 // lookups against a 16-victim notification registry, a feed ring publish,
-// and watchlist address+phone listing. This is the per-alert cost the
-// streaming service mode adds on top of each commit.
+// and watchlist address+phone listing. This is the per-alert cost
+// service mode adds to the commit of each unique dox.
 func BenchmarkAlertFanout(b *testing.B) {
 	s, _ := parallelBenchSetup(b)
 	svc := notify.NewService("bench-salt")

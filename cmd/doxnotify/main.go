@@ -5,20 +5,19 @@
 // Usage:
 //
 //	doxnotify [-scale 0.02] [-seed 42] [-addr 127.0.0.1:8421] [-salt s] [-admin addr]
-//	          [-stream] [-faults off] [-progress]
+//	          [-faults off] [-progress]
 //	          [-state-dir dir] [-checkpoint-every 1] [-resume]
 //
-// By default it runs a small batch study to seed the services with
-// detections, then serves all three. With -stream it instead runs the
-// always-on streaming pipeline (internal/stream): the three services are
-// live from the first virtual day — every committed detection fans out to
-// them as it happens, with backpressure and alert latency on /metrics —
-// and the HTTP API serves throughout the run. A first SIGINT/SIGTERM
-// stops at the next day boundary after a final checkpoint; a second
-// aborts. With -state-dir the run is durable and -resume continues a
-// killed service — including the notification registry, watchlist and
-// feed state — from its last checkpoint (keep -salt identical across
-// restarts: digests are salted and the salt is never persisted).
+// It runs the study in service mode: the three services are live from the
+// first virtual day — every committed detection fans out to them as its
+// day commits — and the HTTP API serves throughout the run. After the
+// study's two periods complete the services keep serving their final
+// state. A first SIGINT/SIGTERM stops at the next day boundary after a
+// final checkpoint; a second aborts. With -state-dir the run is durable
+// and -resume continues a killed service — including the notification
+// registry, watchlist and feed state — from its last checkpoint (keep
+// -salt identical across restarts: digests are salted and the salt is
+// never persisted).
 //
 // Endpoints:
 //
@@ -28,8 +27,8 @@
 //
 // With -admin set, the telemetry bundle (/metrics, /debug/traces,
 // /debug/pprof) is served on that second address: the pipeline metrics
-// (queue depths, backpressure, paste-seen→alert latency in -stream mode)
-// plus per-route request counters for the three services.
+// (stage timings, paste-seen→alert latency) plus per-route request
+// counters for the three services.
 package main
 
 import (
@@ -60,7 +59,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:8421", "listen address")
 		adminAddr  = flag.String("admin", "", "serve /metrics, /debug/traces and /debug/pprof on this second address (empty = off)")
 		salt       = flag.String("salt", "doxmeter-demo-salt", "registry salt (keep identical across -resume restarts)")
-		streamMode = flag.Bool("stream", false, "run the always-on streaming pipeline with live fan-out instead of seed-then-serve")
 		faultsName = flag.String("faults", "off", "fault-injection profile for the simulated services: off, mild, heavy or outage")
 		progress   = flag.Bool("progress", false, "print per-day progress to stderr")
 	)
@@ -86,9 +84,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry on http://%s/metrics\n", *adminAddr)
 	}
 
-	// The services exist before the study so the streaming pipeline can fan
-	// out into them; the watchlist reads the study's virtual clock so its
-	// TTL windows live in simulated time.
+	// The services exist before the study so its commits can fan out into
+	// them; the watchlist reads the study's virtual clock so its TTL
+	// windows live in simulated time.
 	notifySvc := notify.NewService(*salt)
 	notifySvc.Instrument(hub.Registry)
 	var s *core.Study
@@ -101,12 +99,10 @@ func main() {
 	log := feed.NewLog()
 	fan := &stream.Fanout{Notify: notifySvc, Watchlist: wl, Feed: log}
 
-	cfg := core.StudyConfig{Seed: *seed, Scale: *scale, Faults: profile, Telemetry: hub}
+	cfg := core.StudyConfig{Seed: *seed, Scale: *scale, Faults: profile, Telemetry: hub,
+		Stream: &core.StreamConfig{Fanout: fan}}
 	if *progress {
 		cfg.Progress = os.Stderr
-	}
-	if *streamMode {
-		cfg.Stream = &core.StreamConfig{Fanout: fan}
 	}
 	fileStore, ckpt, err := dur.Open()
 	if err != nil {
@@ -141,49 +137,16 @@ func main() {
 	mux.Handle("/watchlist/", http.StripPrefix("/watchlist", telemetry.HTTPMetrics(reg, "watchlist", nil, wl.Handler())))
 	mux.Handle("/feed/", http.StripPrefix("/feed", telemetry.HTTPMetrics(reg, "feed", nil, log.Handler())))
 
-	if *streamMode {
-		runStreaming(s, mux, *addr, dur.StateDir)
-		return
-	}
-
-	// Batch mode: run the study to completion, then seed the services with
-	// every detection through the same fan-out the streaming mode uses live.
-	fmt.Fprintln(os.Stderr, "running seeding study...")
-	if err := s.Run(context.Background()); err != nil {
-		fatal(err)
-	}
-	addresses, phones := 0, 0
-	for _, d := range s.Doxes {
-		det := stream.Detection{Site: d.Site, DocID: d.DocID, SeenAt: d.Posted, Extraction: d.Extraction}
-		if d.Labels.Address {
-			det.AddressLine = stream.AddressLine(d.Text)
-		}
-		if det.AddressLine != "" {
-			addresses++
-		}
-		phones += len(d.Extraction.Phones)
-		fan.Deliver(det)
-	}
-
-	fmt.Printf("doxnotify on http://%s — %d feed events, %d watchlisted addresses, %d phones\n",
-		*addr, log.Len(), addresses, phones)
-	if err := http.ListenAndServe(*addr, mux); err != nil {
-		fatal(err)
-	}
-}
-
-// runStreaming serves the three services WHILE the streaming study runs:
-// subscriptions registered mid-run catch doxes committed on later virtual
-// days, the feed long-poll delivers events as epochs commit, and the
-// watchlist answers dispatch checks against live state. After the study's
-// two periods complete the services keep serving their final state.
-func runStreaming(s *core.Study, mux *http.ServeMux, addr, stateDir string) {
+	// Serve the three services while the study runs: subscriptions
+	// registered mid-run catch doxes committed on later virtual days, the
+	// feed long-poll delivers events as days commit, and the watchlist
+	// answers dispatch checks against live state.
 	go func() {
-		if err := http.ListenAndServe(addr, mux); err != nil {
+		if err := http.ListenAndServe(*addr, mux); err != nil {
 			fatal(err)
 		}
 	}()
-	fmt.Printf("doxnotify streaming on http://%s (services live from day 1)\n", addr)
+	fmt.Printf("doxnotify on http://%s (services live from day 1)\n", *addr)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -203,15 +166,12 @@ func runStreaming(s *core.Study, mux *http.ServeMux, addr, stateDir string) {
 		if !errors.Is(err, core.ErrStopped) {
 			fatal(err)
 		}
-		if stateDir != "" {
-			fmt.Fprintf(os.Stderr, "doxnotify: stopped after a final checkpoint; continue with -state-dir %s -resume\n", stateDir)
+		if dur.StateDir != "" {
+			fmt.Fprintf(os.Stderr, "doxnotify: stopped after a final checkpoint; continue with -state-dir %s -resume\n", dur.StateDir)
 		}
 		return
 	}
-	ids, ingested, notified := 0, 0, 0
-	if svc := serviceOf(s); svc != nil {
-		ids, ingested, notified = svc.Stats()
-	}
+	ids, ingested, notified := notifySvc.Stats()
 	fmt.Fprintf(os.Stderr, "doxnotify: study complete — %d identifiers registered, %d doxes ingested, %d notifications; still serving\n",
 		ids, ingested, notified)
 	// The run is over; the stop/abort handler no longer applies. Keep
@@ -220,15 +180,6 @@ func runStreaming(s *core.Study, mux *http.ServeMux, addr, stateDir string) {
 	quit := make(chan os.Signal, 1)
 	signal.Notify(quit, os.Interrupt, syscall.SIGTERM)
 	<-quit
-}
-
-// serviceOf digs the notification service back out of the study's stream
-// config for the completion summary.
-func serviceOf(s *core.Study) *notify.Service {
-	if s.Cfg.Stream == nil || s.Cfg.Stream.Fanout == nil {
-		return nil
-	}
-	return s.Cfg.Stream.Fanout.Notify
 }
 
 func fatal(err error) {

@@ -5,17 +5,9 @@
 // Usage:
 //
 //	doxpipeline [-scale 0.05] [-seed 42] [-parallelism 0] [-faults off] [-progress] [-json]
-//	            [-stream]
 //	            [-state-dir dir] [-checkpoint-every 1] [-checkpoint-mode full|delta]
 //	            [-compact-every 8] [-checkpoint-compress] [-resume]
 //	            [-admin addr] [-traces out.jsonl]
-//
-// With -stream the collection loop runs on the always-on streaming engine
-// (internal/stream): polls fan out, prepare work is sharded by document
-// key, and a sequencer commits each virtual day in the batch order, so
-// the funnel, tables and durable run digest are bit-identical to the
-// default batch mode — the queue/backpressure/latency series on /metrics
-// are the only observable difference.
 //
 // With -state-dir the study is durable: every -checkpoint-every study days
 // (and at period ends) the pipeline state is checkpointed into the
@@ -68,7 +60,6 @@ func main() {
 		faultsName  = flag.String("faults", "off", "fault-injection profile for the simulated services: off, mild, heavy or outage")
 		adminAddr   = flag.String("admin", "", "serve /metrics, /debug/traces and /debug/pprof on this address during the run (empty = off)")
 		tracesPath  = flag.String("traces", "", "write the study's spans as JSON Lines to this file on exit")
-		streamMode  = flag.Bool("stream", false, "run the always-on streaming pipeline (internal/stream) instead of the batch day loop; results are bit-identical")
 	)
 	var dur stack.Durability
 	dur.RegisterFlags(flag.CommandLine, true)
@@ -103,13 +94,8 @@ func main() {
 		defer fileStore.Close()
 	}
 
-	var streamCfg *core.StreamConfig
-	if *streamMode {
-		streamCfg = &core.StreamConfig{}
-	}
-
 	start := time.Now()
-	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Parallelism: *parallelism, Progress: progressW, Faults: profile, Checkpoint: ckpt, Telemetry: hub, Stream: streamCfg})
+	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Parallelism: *parallelism, Progress: progressW, Faults: profile, Checkpoint: ckpt, Telemetry: hub})
 	if err != nil {
 		fatal(err)
 	}
@@ -237,11 +223,6 @@ func main() {
 			"accounts_dropped":    nonexistent,
 			"resumed":             info.Resumed,
 			"stopped":             stopped,
-			"stream":              *streamMode,
-		}
-		if *streamMode {
-			out["stream_epochs"] = int(reg.Sum("doxmeter_stream_epochs_total"))
-			out["stream_backpressure"] = int(reg.Sum("doxmeter_stream_backpressure_total"))
 		}
 		if dur.Durable() {
 			out["state_dir"] = dur.StateDir

@@ -134,7 +134,7 @@ func (s *Study) buildRegistry() error {
 	if err := r.Register(&comp[crawler.PastebinState]{
 		name:    compPastebin,
 		snap:    pb.Snapshot,
-		restore: func(st crawler.PastebinState) error { pb.Restore(st); return nil },
+		restore: s.restorePastebin,
 		journal: journal[crawler.PastebinState, crawler.PastebinDelta]{name: compPastebin, set: pb.SetDeltaJournal, cut: pb.CutDelta},
 	}); err != nil {
 		return err

@@ -29,6 +29,7 @@ import (
 	"doxmeter/internal/crawler"
 	"doxmeter/internal/experiments"
 	"doxmeter/internal/faults"
+	"doxmeter/internal/leakcheck"
 	"doxmeter/internal/store"
 )
 
@@ -485,6 +486,95 @@ func TestResumeOverLeaseAuditLog(t *testing.T) {
 	compareStudies(t, base.s, resumed, base.tables, renderAnalyses(resumed))
 }
 
+// dayTotals records Study.Collected at the end of every study day.
+type dayTotals struct {
+	s      *core.Study
+	totals []int
+	// atDay, when set, runs on the driver goroutine after day len(totals).
+	atDay func(day int)
+}
+
+func (w *dayTotals) Write(p []byte) (int, error) {
+	w.totals = append(w.totals, w.s.Collected)
+	if w.atDay != nil {
+		w.atDay(len(w.totals))
+	}
+	return len(p), nil
+}
+
+// TestCancelledDayNeverCommits cancels Run while a day's pastebin poll is
+// fetching bodies. The poll returns what it fetched before the
+// cancellation, but a cancelled day commits none of it: Run returns
+// context.Canceled with Collected at a day-end total of an uninterrupted
+// run, and no goroutine of the study outlives Close. Not parallel: the
+// goroutine count is process-wide.
+func TestCancelledDayNeverCommits(t *testing.T) {
+	ref, err := core.NewStudy(resumeCfg(0, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refDays := &dayTotals{s: ref}
+	ref.Cfg.Progress = refDays
+	if err := ref.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	ref.Close()
+
+	settle := leakcheck.Mark(t)
+	cfg := resumeCfg(0, false)
+	// Pacing changes only wall time; it holds the poll open long enough
+	// for the cancellation to land inside it.
+	cfg.Crawl.MinInterval = 2 * time.Millisecond
+	s, err := core.NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const cancelDay = 3
+	start := make(chan int64, 1)
+	days := &dayTotals{s: s, atDay: func(day int) {
+		if day == cancelDay {
+			start <- s.Pastebin.Requests()
+		}
+	}}
+	s.Cfg.Progress = days
+	cancelled := make(chan struct{})
+	go func() {
+		defer close(cancelled)
+		select {
+		case base := <-start:
+			// The listing and at least one body fetch have been served:
+			// the next day's poll is under way.
+			for s.Pastebin.Requests() < base+2 && ctx.Err() == nil {
+				time.Sleep(100 * time.Microsecond)
+			}
+			cancel()
+		case <-ctx.Done():
+		}
+	}()
+	err = s.Run(ctx)
+	cancel()
+	<-cancelled
+	s.Close()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run = %v, want context.Canceled", err)
+	}
+	if len(days.totals) < cancelDay {
+		t.Fatalf("Run stopped after %d days, before the cancellation was armed", len(days.totals))
+	}
+	found := false
+	for _, n := range refDays.totals {
+		found = found || n == s.Collected
+	}
+	if !found {
+		t.Fatalf("Collected = %d after cancellation on day %d, not a day-end total of the uninterrupted run %v",
+			s.Collected, len(days.totals), refDays.totals[:len(days.totals)+1])
+	}
+	t.Logf("cancelled on day %d at Collected = %d", len(days.totals), s.Collected)
+	settle()
+}
+
 // TestResumeValidation covers the guard rails: Resume without a
 // checkpoint config, resume of a fresh store, and cross-study mismatches.
 func TestResumeValidation(t *testing.T) {
@@ -566,6 +656,112 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 	defer resumed.Close()
 	if info, err := resumed.Resume(); err == nil {
 		t.Fatalf("Resume over %d negative next_idx histories = %+v, nil; want an error", tampered, info)
+	}
+}
+
+// TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor
+// lies outside [0, the snapshot's virtual time], or whose monitor holds an
+// observation with a status osn does not define, must make Resume fail,
+// whether the bad value sits in a full snapshot or in the tip of a delta
+// chain. Before the check, a cursor of 2^40 resumed and silently stopped
+// collection.
+func TestResumeRejectsOutOfRangeState(t *testing.T) {
+	t.Parallel()
+	setCursor := func(c float64) func(map[string]any) int {
+		return func(v map[string]any) int { v["cursor"] = c; return 1 }
+	}
+	// Full monitor state lists "histories"; a delta patch lists "upserts".
+	setStatus := func(st float64) func(map[string]any) int {
+		return func(v map[string]any) int {
+			n := 0
+			for _, key := range []string{"histories", "upserts"} {
+				hs, _ := v[key].([]any)
+				for _, h := range hs {
+					obs, _ := h.(map[string]any)["obs"].([]any)
+					for _, o := range obs {
+						o.(map[string]any)["Status"] = st
+						n++
+					}
+				}
+			}
+			return n
+		}
+	}
+	tampers := []struct {
+		name, comp string
+		edit       func(map[string]any) int
+	}{
+		{"negative-cursor", "crawler/pastebin", setCursor(-1)},
+		{"future-cursor", "crawler/pastebin", setCursor(1 << 40)},
+		{"unknown-status", "monitor", setStatus(7)},
+		{"negative-status", "monitor", setStatus(-1)},
+	}
+	for _, mode := range []core.CheckpointMode{core.CheckpointFull, core.CheckpointDelta} {
+		for _, tc := range tampers {
+			mode, tc := mode, tc
+			t.Run(string(mode)+"/"+tc.name, func(t *testing.T) {
+				t.Parallel()
+				mem := store.NewMem()
+				ck := &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: mode, CompactEvery: 20}
+				s := newDurableStudyCkpt(t, resumeCfg(1, false), ck)
+				s.Cfg.Progress = &stopAfter{s: s, days: 8}
+				if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {
+					t.Fatalf("Run = %v, want ErrStopped", err)
+				}
+				s.Close()
+				tamperTip(t, mem, tc.comp, tc.edit, mode == core.CheckpointDelta)
+
+				resumed := newDurableStudyCkpt(t, resumeCfg(1, false), ck)
+				defer resumed.Close()
+				if info, err := resumed.Resume(); err == nil {
+					t.Fatalf("Resume over a tampered %s = %+v, nil; want an error", tc.comp, info)
+				}
+			})
+		}
+	}
+}
+
+// tamperTip rewrites one component of a state dir's newest cut through
+// edit, which reports how many values it changed: the tip delta of the
+// chain when wantDelta is set, the latest full snapshot otherwise.
+func tamperTip(t *testing.T, mem *store.Mem, comp string, edit func(map[string]any) int, wantDelta bool) {
+	t.Helper()
+	base, deltas, err := mem.LoadChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantDelta != (len(deltas) > 0) {
+		t.Fatalf("state dir holds %d deltas, want a delta tip: %v", len(deltas), wantDelta)
+	}
+	payload := base.Components[comp]
+	if wantDelta {
+		cd := deltas[len(deltas)-1].Components[comp]
+		if cd.Op != store.OpPatch {
+			t.Fatalf("tip delta carries %s as %q, want a patch", comp, cd.Op)
+		}
+		payload = cd.Payload
+	}
+	var v map[string]any
+	if err := json.Unmarshal(payload, &v); err != nil {
+		t.Fatal(err)
+	}
+	if edit(v) == 0 {
+		t.Fatalf("newest cut holds nothing to tamper with in %s", comp)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantDelta {
+		tip := deltas[len(deltas)-1]
+		tip.Components[comp] = store.ComponentDelta{Op: store.OpPatch, Payload: b}
+		_, err = mem.SaveDelta(tip)
+	} else {
+		base.Components[comp] = b
+		_, err = mem.SaveSnapshot(base)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -139,8 +139,8 @@ func (s *Study) runDigestHex() string { return hex.EncodeToString(s.runDigest[:]
 
 // RunDigest returns the rolling run digest in hex: a chained SHA-256 over
 // every day's commit stream (document identities + verdicts, in commit
-// order). Two runs over the same world/seed/schedule — batch or
-// streaming, killed and resumed or not — produce the same digest. Only
+// order). Two runs over the same world/seed/schedule — with services
+// attached or not, killed and resumed or not — produce the same digest. Only
 // durable studies (Checkpoint set) fold day digests; for others this is
 // the zero digest.
 func (s *Study) RunDigest() string { return s.runDigestHex() }
@@ -288,6 +288,19 @@ func (s *Study) restoreCoreState(cs coreState) error {
 	return nil
 }
 
+// restorePastebin installs the pastebin crawler's component payload. The
+// cursor is the Unix second of the newest paste listed, so it lies in
+// [0, the snapshot's virtual time], which RestoreSnapshot sets on the
+// clock before restoring components; a later cursor would skip every
+// paste posted before it.
+func (s *Study) restorePastebin(st crawler.PastebinState) error {
+	if now := s.Clock.Now().Unix(); st.Cursor < 0 || st.Cursor > now {
+		return fmt.Errorf("core: restore: pastebin cursor %d outside [0, %d]", st.Cursor, now)
+	}
+	s.crawlers.pastebin.Restore(st)
+	return nil
+}
+
 // RestoreSnapshot loads a checkpoint into a freshly built study. The study
 // must have been constructed with the same Seed and Scale; everything else
 // (world, corpus, classifier, services) is already rebuilt deterministically
@@ -319,6 +332,11 @@ func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
 	}); err != nil {
 		return err
 	}
+	// Components restore against the snapshot's virtual time (the
+	// pastebin cursor is range-checked against it).
+	if snap.Meta.VirtualTime.After(now) {
+		s.Clock.Set(snap.Meta.VirtualTime)
+	}
 	if err := s.registry.Each(func(c store.Component, _ bool) error {
 		raw, ok := snap.Components[c.Name()]
 		if !ok {
@@ -327,9 +345,6 @@ func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
 		return c.Restore(raw)
 	}); err != nil {
 		return err
-	}
-	if snap.Meta.VirtualTime.After(now) {
-		s.Clock.Set(snap.Meta.VirtualTime)
 	}
 	s.ckptSeq = snap.Seq
 	s.resumed = true

@@ -97,14 +97,10 @@ type StudyConfig struct {
 	// Resume before Run; results are bit-identical to an uninterrupted run
 	// at any Parallelism, with or without fault injection.
 	Checkpoint *CheckpointConfig
-	// Stream, when non-nil, runs collection through the always-on
-	// streaming pipeline (internal/stream) instead of the batch barrier
-	// loop: persistent key-hash prepare shards, bounded channels with
-	// backpressure, and a commit sequencer on the driver goroutine. With
-	// Fanout attached, every committed unique dox is delivered live to
-	// the §7 mitigation services, whose state rides the study's
-	// checkpoints. Results are bit-identical to a batch run on the same
-	// world/seed/schedule at any Parallelism (the keystone stream test).
+	// Stream, when non-nil, runs the study in service mode: with Fanout
+	// attached, commit delivers every unique dox to the §7 mitigation
+	// services as its day commits, and their state rides the study's
+	// checkpoints. Study results are bit-identical with or without it.
 	Stream *StreamConfig
 	// Telemetry, when non-nil, instruments the whole study on the hub:
 	// doxmeter_stage_seconds / doxmeter_doc_stage_seconds histograms and
@@ -131,18 +127,16 @@ const (
 	CheckpointDelta CheckpointMode = "delta"
 )
 
-// StreamConfig parameterizes the streaming service mode. The pipeline
-// runs one prepare worker per unit of Parallelism, with documents routed
-// to workers by key hash, and the stream package's default channel bound.
+// StreamConfig parameterizes service mode.
 type StreamConfig struct {
-	// Fanout, when non-nil, receives every committed unique dox live on
-	// the alert worker: notification registry, anti-SWATing watchlist,
-	// threat-exchange feed (any subset). Attached services are included
-	// in checkpoints and restored on Resume; the watchlist is purged on
-	// a daily janitor tick. Snapshots written before a service attached
-	// leave it starting fresh; detaching a service mid-way through a
-	// delta-mode state dir is refused at the next resume (a delta chain
-	// may add components, never drop them).
+	// Fanout, when non-nil, receives every committed unique dox on the
+	// driver goroutine, in commit order: notification registry,
+	// anti-SWATing watchlist, threat-exchange feed (any subset). Attached
+	// services are included in checkpoints and restored on Resume; the
+	// watchlist is purged on a daily janitor tick. Snapshots written
+	// before a service attached leave it starting fresh; detaching a
+	// service mid-way through a delta-mode state dir is refused at the
+	// next resume (a delta chain may add components, never drop them).
 	Fanout *stream.Fanout
 }
 
@@ -305,10 +299,11 @@ type Study struct {
 	// the snapshot, restore and delta paths iterate it.
 	registry *store.Registry
 
-	// Streaming service mode (StudyConfig.Stream): the persistent
-	// pipeline and the attached alert fan-out; both nil in batch mode.
-	pipeline *stream.Pipeline[Prepared]
+	// fanout is StudyConfig.Stream.Fanout, nil outside service mode;
+	// polledAt maps each source to the wall time its current day's poll
+	// returned, the start of that source's alert latency.
 	fanout   *stream.Fanout
+	polledAt map[string]time.Time
 
 	// probeKernel/probeExt back the doxmeter_extract_allocs_per_doc gauge:
 	// one flagged document per batch is re-extracted into this warm scratch
@@ -402,6 +397,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		CollectedBySite: make(map[string]int),
 		Injectors:       make(map[string]*faults.Injector),
 		PollFailures:    make(map[string]int),
+		polledAt:        make(map[string]time.Time),
 		flaggedP1:       make(map[string]bool),
 		rng:             randutil.New(cfg.Seed ^ 0x636f7265), // "core"
 		m:               newStudyMetrics(cfg.Telemetry),
@@ -549,23 +545,8 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		Parallelism: cfg.Parallelism,
 		Telemetry:   reg,
 	})
-	// Streaming service mode: stand up the persistent pipeline. Prepare
-	// is the same stateless kernel the batch path uses; Deliver hands
-	// committed detections to the attached mitigation services on the
-	// alert worker, in commit order.
 	if sc := cfg.Stream; sc != nil {
 		s.fanout = sc.Fanout
-		var deliver func(stream.Detection)
-		if sc.Fanout != nil {
-			deliver = sc.Fanout.Deliver
-		}
-		s.pipeline = stream.New(stream.Config[Prepared]{
-			Shards:          cfg.Parallelism,
-			PollParallelism: cfg.Parallelism,
-			Prepare:         func(doc *crawler.Doc) Prepared { return s.prepareDoc(doc) },
-			Deliver:         deliver,
-			Telemetry:       reg,
-		})
 	}
 	// One table of checkpoint components; snapshot, restore and delta
 	// cuts all iterate it (see components.go).
@@ -606,12 +587,8 @@ func (s *Study) FaultCounters() faults.Counters {
 	return agg
 }
 
-// Close shuts down the streaming pipeline (if any) and the simulated
-// services. Idempotent.
+// Close shuts down the simulated services. Idempotent.
 func (s *Study) Close() {
-	if s.pipeline != nil {
-		s.pipeline.Close()
-	}
 	for _, svc := range s.services {
 		_ = svc.Close()
 	}
@@ -674,14 +651,12 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 		dayCtx, daySpan := s.m.span(ctx, "day")
 		daySpan.SetAttr("period", p.Name)
 		daySpan.SetAttr("day", strconv.Itoa(day))
-		collect := s.collectOnce
-		if s.pipeline != nil {
-			collect = s.collectStream
-		}
-		if err := collect(dayCtx, p, periodNo); err != nil {
+		collectStart := time.Now()
+		if err := s.collectOnce(dayCtx, p, periodNo); err != nil {
 			daySpan.End()
 			return err
 		}
+		s.m.stageEpoch.Observe(time.Since(collectStart).Seconds())
 		monStart := time.Now()
 		_, monSpan := s.m.span(dayCtx, "monitor")
 		if err := s.Monitor.ProcessDue(ctx); err != nil {
@@ -700,8 +675,8 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 		monSpan.End()
 		s.m.stageMonitor.Observe(time.Since(monStart).Seconds())
 		// Service-mode janitor tick: expired watchlist entries are purged
-		// on the virtual clock, after the day's alerts have all drained
-		// (RunEpoch's barrier), so the purge is deterministic.
+		// on the virtual clock, after the day's commits delivered every
+		// alert, so the purge is deterministic.
 		if s.fanout != nil {
 			s.fanout.Janitor()
 		}
@@ -742,9 +717,10 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 	}
 }
 
-// collectOnce polls every source and pushes new documents through the
-// pipeline. Boards were only crawled in period 2 (§3.1.1). With
-// Parallelism > 1 the five sources are polled concurrently.
+// collectOnce is the day loop's collection pass: it polls every source
+// and pushes new documents through the pipeline. Boards were only crawled
+// in period 2 (§3.1.1). With Parallelism > 1 the five sources are polled
+// concurrently.
 //
 // A poll that still fails after the crawler's full retry budget degrades
 // the day instead of aborting the study: the failure is tallied in
@@ -769,9 +745,11 @@ func (s *Study) collectOnce(ctx context.Context, p simclock.Period, periodNo int
 	pollCtx, pollSpan := s.m.span(ctx, "poll")
 	polled := make([][]crawler.Doc, len(sources))
 	errs := make([]error, len(sources))
+	polledAt := make([]time.Time, len(sources))
 	pollOne := func(i int) {
 		_, sp := s.m.span(pollCtx, "poll:"+sources[i].name)
 		polled[i], errs[i] = sources[i].poll(ctx)
+		polledAt[i] = time.Now()
 		sp.SetAttr("docs", strconv.Itoa(len(polled[i])))
 		sp.End()
 	}
@@ -788,15 +766,17 @@ func (s *Study) collectOnce(ctx context.Context, p simclock.Period, periodNo int
 	}
 	pollSpan.End()
 	s.m.stagePoll.Observe(time.Since(pollStart).Seconds())
-	for i, err := range errs {
-		if err == nil {
-			continue
+	// A cancelled day commits nothing, even where every poll finished:
+	// a partly polled day must not fold into the run digest.
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	for i, src := range sources {
+		s.polledAt[src.name] = polledAt[i]
+		if errs[i] != nil {
+			s.PollFailures[src.name]++
+			s.m.pollFailures.With(src.name).Inc()
 		}
-		if ctx.Err() != nil {
-			return fmt.Errorf("%s poll: %w", sources[i].name, err)
-		}
-		s.PollFailures[sources[i].name]++
-		s.m.pollFailures.With(sources[i].name).Inc()
 	}
 
 	var docs []crawler.Doc
@@ -804,41 +784,6 @@ func (s *Study) collectOnce(ctx context.Context, p simclock.Period, periodNo int
 		docs = append(docs, d...)
 	}
 	s.processBatch(ctx, docs, periodNo, p)
-	return nil
-}
-
-// collectStream is collectOnce for streaming mode: one pipeline epoch per
-// virtual day. Polls fan out and stream their documents into the prepare
-// shards while later polls are still fetching; the pipeline seals the
-// epoch, sorts by (Posted, Site, ID) and commits in that order on this
-// goroutine — the same semantics as processBatch, so a streaming run is
-// bit-identical to a batch run. Poll failures degrade the day exactly as
-// in batch mode: tallied, partial deliveries still committed.
-func (s *Study) collectStream(ctx context.Context, p simclock.Period, periodNo int) error {
-	sources := []stream.Source{{Name: "pastebin", Poll: s.crawlers.pastebin.Poll}}
-	if periodNo == 2 {
-		for _, bc := range s.crawlers.boards {
-			sources = append(sources, stream.Source{Name: bc.SiteName, Poll: bc.Poll})
-		}
-	}
-	epochStart := time.Now()
-	epochCtx, epochSpan := s.m.span(ctx, "epoch")
-	stats, err := s.pipeline.RunEpoch(epochCtx, sources, func(doc *crawler.Doc, pre Prepared) {
-		s.commit(doc, pre, periodNo, p)
-	})
-	epochSpan.SetAttr("docs", strconv.Itoa(stats.Committed))
-	epochSpan.End()
-	s.m.stageEpoch.Observe(time.Since(epochStart).Seconds())
-	if err != nil {
-		return err
-	}
-	for _, f := range stats.Failures {
-		if ctx.Err() != nil {
-			return fmt.Errorf("%s poll: %w", f.Name, f.Err)
-		}
-		s.PollFailures[f.Name]++
-		s.m.pollFailures.With(f.Name).Inc()
-	}
 	return nil
 }
 
@@ -1074,14 +1019,15 @@ func (s *Study) commit(doc *crawler.Doc, pre Prepared, periodNo int, p simclock.
 			s.Monitor.TrackUntil(netid.Ref{Network: n, Username: user}, now, p.End)
 		}
 	}
-	// Service mode: hand the detection to the alert fan-out. The emit
-	// order is the commit order, the delivery worker preserves it, and
-	// the epoch's drain barrier completes before the clock advances — so
-	// service state is a pure function of the document schedule. Restored
-	// records never replay through here; services restore from their own
-	// checkpoint components instead.
-	if s.pipeline != nil && s.fanout != nil {
-		s.pipeline.EmitAlert(s.detectionOf(rec))
+	// Service mode: hand the detection to the alert fan-out here, on the
+	// driver goroutine in commit order, so service state is a pure
+	// function of the document schedule and settled before the day's
+	// janitor tick and checkpoint cut. Restored records never replay
+	// through here; services restore from their own checkpoint
+	// components instead.
+	if s.fanout != nil {
+		s.fanout.Deliver(s.detectionOf(rec))
+		s.m.alertLatency.Observe(time.Since(s.polledAt[doc.Site]).Seconds())
 	}
 }
 

@@ -18,8 +18,8 @@ type studyMetrics struct {
 	hub     *telemetry.Hub
 
 	// One observation per study day per stage (doxmeter_stage_seconds).
-	// "epoch" covers a whole streaming pipeline pass (poll → prepare →
-	// commit overlap makes the batch stage split meaningless there).
+	// "epoch" covers the day's whole collection pass: poll, prepare and
+	// commit together.
 	stagePoll    *telemetry.Histogram
 	stagePrepare *telemetry.Histogram
 	stageCommit  *telemetry.Histogram
@@ -50,6 +50,11 @@ type studyMetrics struct {
 	// per prepare batch through a study-held kernel and scratch record.
 	extractSeconds *telemetry.Histogram
 	extractAllocs  *telemetry.Gauge
+
+	// alertLatency is the wall time from a source's poll returning to
+	// the delivery of each unique dox it carried
+	// (doxmeter_alert_latency_seconds); observed only in service mode.
+	alertLatency *telemetry.Histogram
 
 	queueDepth *telemetry.Gauge
 	days       *telemetry.Counter
@@ -112,6 +117,9 @@ func newStudyMetrics(hub *telemetry.Hub) *studyMetrics {
 			nil).With(),
 		extractAllocs: reg.NewGauge("doxmeter_extract_allocs_per_doc",
 			"Heap allocations for one representative flagged document re-extracted after each prepare batch; the fused kernel holds this at 0 at steady state.").With(),
+		alertLatency: reg.NewHistogram("doxmeter_alert_latency_seconds",
+			"End-to-end wall latency from a document's poll returning to its alert being delivered.",
+			nil).With(),
 		queueDepth: reg.NewGauge("doxmeter_prepare_queue_depth",
 			"Documents not yet finished by the per-day prepare worker pool.").With(),
 		days: reg.NewCounter("doxmeter_study_days_total",

@@ -392,6 +392,11 @@ func (m *Monitor) Restore(st State) error {
 		if hs.NextIdx < 0 {
 			return fmt.Errorf("monitor: restore: %s:%s has negative next_idx %d", hs.Network, hs.Username, hs.NextIdx)
 		}
+		for _, o := range hs.Obs {
+			if !o.Status.Valid() {
+				return fmt.Errorf("monitor: restore: %s:%s has an observation with unknown status %d", hs.Network, hs.Username, o.Status)
+			}
+		}
 		h := &History{
 			Ref:       netid.Ref{Network: network, Username: hs.Username},
 			NumericID: hs.NumericID,

@@ -34,6 +34,9 @@ const (
 	Inactive
 )
 
+// Valid reports whether s is one of the statuses above.
+func (s Status) Valid() bool { return s >= Public && s <= Inactive }
+
 // String implements fmt.Stringer.
 func (s Status) String() string {
 	switch s {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"doxmeter/internal/dedup"
@@ -168,4 +170,123 @@ func prop2(t *testing.T, data []byte) {
 		}
 		cut(false)
 	}
+}
+
+// FuzzDecodeSnapshot: DecodeSnapshotFrom never panics on arbitrary bytes
+// (torn tails, truncated flate streams, skewed headers), and any snapshot
+// it accepts round-trips through EncodeSnapshotTo: re-encoded plain or
+// compressed, it decodes to a snapshot whose plain encoding is the same
+// bytes.
+func FuzzDecodeSnapshot(f *testing.F) {
+	var plain, comp bytes.Buffer
+	if _, err := EncodeSnapshotTo(&plain, testSnapshot(7), false); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := EncodeSnapshotTo(&comp, testSnapshot(7), true); err != nil {
+		f.Fatal(err)
+	}
+	p, c := plain.Bytes(), comp.Bytes()
+	f.Add(p)
+	f.Add(p[:len(p)/2]) // torn tail: body cut mid-JSON
+	f.Add(c)
+	f.Add(c[:len(c)*2/3]) // torn flate stream
+	f.Add([]byte("doxmeter-snapshot v1\n{}"))
+	f.Add([]byte("doxmeter-snapshot v99\n{}")) // version skew
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := DecodeSnapshotFrom(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		encode := func(s *Snapshot, compress bool) []byte {
+			var b bytes.Buffer
+			if _, err := EncodeSnapshotTo(&b, s, compress); err != nil {
+				t.Fatalf("encode of accepted snapshot (compress=%v): %v", compress, err)
+			}
+			return b.Bytes()
+		}
+		want := encode(snap, false)
+		for _, compress := range []bool{false, true} {
+			again, err := DecodeSnapshotFrom(bytes.NewReader(encode(snap, compress)))
+			if err != nil {
+				t.Fatalf("decode of own encoding (compress=%v): %v", compress, err)
+			}
+			if got := encode(again, false); !bytes.Equal(got, want) {
+				t.Fatalf("snapshot did not round-trip (compress=%v):\n%s\nvs\n%s", compress, got, want)
+			}
+		}
+	})
+}
+
+// FuzzFileEntries feeds arbitrary bytes to File.Entries as a commit log.
+// Entries must not panic or fail on a readable log, and must keep its
+// torn-tail tolerance: the entries it accepted, written back as a clean
+// log followed by one more entry cut short by a crash, read back
+// unchanged, the torn line dropped.
+func FuzzFileEntries(f *testing.F) {
+	var log bytes.Buffer
+	for day := 0; day < 3; day++ {
+		b, err := json.Marshal(Entry{Kind: KindDay, Period: 1, Day: day, Digest: "aa"})
+		if err != nil {
+			f.Fatal(err)
+		}
+		log.Write(b)
+		log.WriteByte('\n')
+	}
+	l := log.Bytes()
+	f.Add(l, uint16(0))
+	f.Add(l[:len(l)-7], uint16(9)) // torn final line
+	f.Add([]byte("\n\n{}\nnot json\n"), uint16(3))
+	f.Add([]byte{}, uint16(1))
+
+	tail, err := json.Marshal(Entry{Kind: KindDay, Seq: 9, Period: 2, Day: 4, Digest: "bb"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, commitLogName)
+		st, err := OpenFile(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		read := func(b []byte) []Entry {
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			es, err := st.Entries()
+			if err != nil {
+				t.Fatalf("Entries over a readable log: %v", err)
+			}
+			return es
+		}
+		got := read(data)
+
+		var clean bytes.Buffer
+		for _, e := range got {
+			b, err := json.Marshal(e)
+			if err != nil {
+				t.Fatalf("re-encode of accepted entry %+v: %v", e, err)
+			}
+			clean.Write(b)
+			clean.WriteByte('\n')
+		}
+		want := clean.String()
+		// Any proper prefix of an entry line is invalid JSON.
+		clean.Write(tail[:int(cut)%len(tail)])
+		var back bytes.Buffer
+		for _, e := range read(clean.Bytes()) {
+			b, err := json.Marshal(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back.Write(b)
+			back.WriteByte('\n')
+		}
+		if back.String() != want {
+			t.Fatalf("torn-tail log read back as\n%s\nwant\n%s", back.String(), want)
+		}
+	})
 }

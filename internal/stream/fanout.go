@@ -1,3 +1,9 @@
+// Package stream holds the alert fan-out of the paper's §7 service mode:
+// the Detection a committed unique dox becomes, and the Fanout that
+// delivers it to the notification registry, the threat-exchange feed and
+// the anti-SWATing watchlist. The study calls Fanout.Deliver from its
+// commit stage, on the driver goroutine and in commit order, so service
+// state is a pure function of the document schedule.
 package stream
 
 import (
@@ -23,9 +29,7 @@ type Detection struct {
 }
 
 // Fanout wires committed detections into the paper's three proposed
-// mitigation services (§7.1–7.2). Any field may be nil. It is the
-// Pipeline's Deliver target in service mode and is also usable directly
-// for batch seeding.
+// mitigation services (§7.1–7.2). Any field may be nil.
 type Fanout struct {
 	Notify    *notify.Service
 	Watchlist *watchlist.Watchlist
@@ -54,7 +58,8 @@ func (f *Fanout) Deliver(d Detection) {
 
 // Janitor runs the periodic maintenance pass: purging expired watchlist
 // entries. In service mode the study calls it once per virtual day, after
-// the epoch's alerts have drained, so the purge is deterministic.
+// the day's commits have delivered every alert, so the purge is
+// deterministic.
 func (f *Fanout) Janitor() int {
 	if f.Watchlist == nil {
 		return 0

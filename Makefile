@@ -36,9 +36,10 @@ test-race:
 
 # Native fuzzing, 5s per target: every parser fed by the network (listing,
 # catalog, thread, Retry-After header, profile HTML), the text-pipeline
-# entry points and the checkpoint readers (delta codec, full snapshot,
-# commit log). Each invocation names one target because go test allows
-# only one -fuzz pattern per package run.
+# entry points, the checkpoint readers (delta codec, full snapshot,
+# commit log) and the §7 services' delta journals. Each invocation names
+# one target because go test allows only one -fuzz pattern per package
+# run.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseListing -fuzztime=$(FUZZTIME) -run NONE ./internal/crawler
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeltaCodecRoundTrip -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
 	$(GO) test -fuzz=FuzzFileEntries -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
+	$(GO) test -fuzz=FuzzServiceDeltas -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/stream
 
 # Long chaos soak: the full chaos suites under the race detector, including
 # the study-level heavy-profile soak (DOXMETER_CHAOS_SOAK gates it), the

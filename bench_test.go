@@ -565,7 +565,10 @@ func BenchmarkCheckpointRoundTrip(b *testing.B) {
 // deltaBench holds a second shared study, run once in delta-checkpoint
 // mode against an in-memory DeltaStore so the finished chain — the last
 // compaction full plus the deltas after it — is available to the delta
-// benchmarks. The study itself is kept for the compaction bench.
+// benchmarks. The study runs in service mode, with every victim
+// subscribed to the notification registry, so the measured cuts carry
+// the §7 services' journals as a service-mode state dir does. The study
+// itself is kept for the compaction bench.
 var (
 	deltaBenchOnce  sync.Once
 	deltaBenchErr   error
@@ -578,9 +581,25 @@ func deltaBenchSetup(b *testing.B) {
 	b.Helper()
 	deltaBenchOnce.Do(func() {
 		mem := store.NewMem()
+		var s *core.Study
+		svc := notify.NewService("bench-salt")
+		fan := &stream.Fanout{
+			Notify:    svc,
+			Watchlist: watchlist.New(0, func() time.Time { return s.Clock.Now() }),
+			Feed:      feed.NewLog(),
+		}
 		s, err := core.NewStudy(core.StudyConfig{Seed: 1709, Scale: benchScale,
+			Stream:     &core.StreamConfig{Fanout: fan},
 			Checkpoint: &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: core.CheckpointDelta, CompactEvery: 8}})
 		if err == nil {
+			for _, v := range s.World.Victims {
+				id := fmt.Sprintf("victim-%d", v.ID)
+				svc.Subscribe(id, notify.KindEmail, v.Email)
+				svc.Subscribe(id, notify.KindPhone, v.Phone)
+				for n, user := range v.OSN {
+					svc.SubscribeAccount(id, netid.Ref{Network: n, Username: user})
+				}
+			}
 			err = s.Run(context.Background())
 		}
 		if err != nil {
@@ -618,7 +637,8 @@ func deltaBenchSetup(b *testing.B) {
 // CheckpointRoundTrip.) The bytes/op figure is the on-disk cost of the
 // incremental day; the benchmark fails outright if it exceeds the 5 MB
 // delta budget, and setup verifies the delta still reproduces the next
-// cut (a full snapshot at this scale is ~165 MB and ~759 ms).
+// cut (a compaction full at this scale encodes about 30 MB in about
+// 0.9 s; see CheckpointCompaction).
 func BenchmarkCheckpointDelta(b *testing.B) {
 	deltaBenchSetup(b)
 	base, d := deltaBenchBase, deltaBenchDelta

@@ -6,15 +6,16 @@
 //
 //	doxpipeline [-scale 0.05] [-seed 42] [-parallelism 0] [-faults off] [-progress] [-json]
 //	            [-state-dir dir] [-checkpoint-every 1] [-checkpoint-mode full|delta]
-//	            [-compact-every 8] [-checkpoint-compress] [-resume]
+//	            [-compact-every 0] [-checkpoint-compress] [-resume]
 //	            [-admin addr] [-traces out.jsonl]
 //
 // With -state-dir the study is durable: every -checkpoint-every study days
 // (and at period ends) the pipeline state is checkpointed into the
 // directory. -checkpoint-mode=full writes a complete snapshot each cut;
 // -checkpoint-mode=delta writes compact incremental diffs against the
-// previous cut, with a full compaction snapshot every -compact-every deltas
-// bounding the recovery chain. SIGINT/SIGTERM stops the run at the next day
+// previous cut, with full compaction snapshots bounding the recovery
+// chain: by default once the deltas since the last full add up to its
+// size, or every -compact-every deltas when that is positive. SIGINT/SIGTERM stops the run at the next day
 // boundary after a final checkpoint; a second signal aborts immediately,
 // losing at most the day in flight. -resume continues a killed run from its
 // last checkpoint — replaying the delta chain when present — producing

@@ -9,6 +9,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 
 	"doxmeter/internal/crawler"
 	"doxmeter/internal/dedup"
@@ -20,8 +21,8 @@ import (
 )
 
 // comp adapts a typed snapshot provider (state type S) to
-// store.Component. snap and restore close over the provider; journal is
-// nil for components that travel wholesale in every delta cut.
+// store.Component. snap and restore close over the provider; journal
+// drains its mutations for delta cuts.
 type comp[S any] struct {
 	name    string
 	snap    func() S
@@ -49,18 +50,16 @@ func (c *comp[S]) Restore(raw json.RawMessage) error {
 
 func (c *comp[S]) DeltaJournal() store.Journal { return c.journal }
 
-// journal adapts a typed (State, Delta) journaling provider to
-// store.Journal. D's Apply is the same typed patch function the chain
-// replay uses, so Journal.Apply and ApplyDeltaChain cannot drift apart.
-type journal[S any, D interface{ Apply(*S) }] struct {
+// journal adapts a typed CutDelta provider to store.Journal.
+type journal[D any] struct {
 	name string
 	set  func(on bool)
 	cut  func() (D, bool)
 }
 
-func (j journal[S, D]) SetJournal(on bool) { j.set(on) }
+func (j journal[D]) SetJournal(on bool) { j.set(on) }
 
-func (j journal[S, D]) Cut() (json.RawMessage, bool, error) {
+func (j journal[D]) Cut() (json.RawMessage, bool, error) {
 	d, dirty := j.cut()
 	if !dirty {
 		return nil, false, nil
@@ -70,10 +69,6 @@ func (j journal[S, D]) Cut() (json.RawMessage, bool, error) {
 		return nil, false, fmt.Errorf("core: delta component %s: %w", j.name, err)
 	}
 	return b, true, nil
-}
-
-func (j journal[S, D]) Apply(base, patch json.RawMessage) (json.RawMessage, error) {
-	return patchComponent[S, D](j.name, base, patch)
 }
 
 // coreJournal is the study's own journal: the core component changes
@@ -94,16 +89,11 @@ func (j coreJournal) Cut() (json.RawMessage, bool, error) {
 	return b, true, nil
 }
 
-func (coreJournal) Apply(base, patch json.RawMessage) (json.RawMessage, error) {
-	return patchComponent[coreState, coreStateDelta](compCore, base, patch)
-}
-
 // buildRegistry assembles the study's component table. Required
 // components are the pipeline's own state; the mitigation services are
 // optional (a snapshot written before a service attached leaves it
-// starting fresh) and journal-less (they travel wholesale in deltas —
-// their state is small and OpFull is valid even when the chain's anchor
-// predates the attachment).
+// starting fresh). Every component journals; a service whose state the
+// chain does not hold yet travels whole once (see buildDelta).
 func (s *Study) buildRegistry() error {
 	r := store.NewRegistry()
 	if err := r.Register(&comp[coreState]{
@@ -118,7 +108,7 @@ func (s *Study) buildRegistry() error {
 		name:    compDedup,
 		snap:    s.Deduper.Snapshot,
 		restore: s.Deduper.Restore,
-		journal: journal[dedup.State, dedup.Delta]{name: compDedup, set: s.Deduper.SetDeltaJournal, cut: s.Deduper.CutDelta},
+		journal: journal[dedup.Delta]{name: compDedup, set: s.Deduper.SetDeltaJournal, cut: s.Deduper.CutDelta},
 	}); err != nil {
 		return err
 	}
@@ -126,7 +116,7 @@ func (s *Study) buildRegistry() error {
 		name:    compMonitor,
 		snap:    s.Monitor.Snapshot,
 		restore: s.Monitor.Restore,
-		journal: journal[monitor.State, monitor.Delta]{name: compMonitor, set: s.Monitor.SetDeltaJournal, cut: s.Monitor.CutDelta},
+		journal: journal[monitor.Delta]{name: compMonitor, set: s.Monitor.SetDeltaJournal, cut: s.Monitor.CutDelta},
 	}); err != nil {
 		return err
 	}
@@ -135,7 +125,7 @@ func (s *Study) buildRegistry() error {
 		name:    compPastebin,
 		snap:    pb.Snapshot,
 		restore: s.restorePastebin,
-		journal: journal[crawler.PastebinState, crawler.PastebinDelta]{name: compPastebin, set: pb.SetDeltaJournal, cut: pb.CutDelta},
+		journal: journal[crawler.PastebinDelta]{name: compPastebin, set: pb.SetDeltaJournal, cut: pb.CutDelta},
 	}); err != nil {
 		return err
 	}
@@ -146,29 +136,32 @@ func (s *Study) buildRegistry() error {
 			name:    key,
 			snap:    b.Snapshot,
 			restore: func(st crawler.BoardState) error { b.Restore(st); return nil },
-			journal: journal[crawler.BoardState, crawler.BoardDelta]{name: key, set: b.SetDeltaJournal, cut: b.CutDelta},
+			journal: journal[crawler.BoardDelta]{name: key, set: b.SetDeltaJournal, cut: b.CutDelta},
 		}); err != nil {
 			return err
 		}
 	}
 	if f := s.fanout; f != nil {
-		if f.Notify != nil {
+		if n := f.Notify; n != nil {
 			if err := r.RegisterOptional(&comp[notify.State]{
-				name: compNotify, snap: f.Notify.Snapshot, restore: f.Notify.Restore,
+				name: compNotify, snap: n.Snapshot, restore: n.Restore,
+				journal: journal[notify.Delta]{name: compNotify, set: n.SetDeltaJournal, cut: n.CutDelta},
 			}); err != nil {
 				return err
 			}
 		}
-		if f.Watchlist != nil {
+		if w := f.Watchlist; w != nil {
 			if err := r.RegisterOptional(&comp[watchlist.State]{
-				name: compWatchlist, snap: f.Watchlist.Snapshot, restore: f.Watchlist.Restore,
+				name: compWatchlist, snap: w.Snapshot, restore: w.Restore,
+				journal: journal[watchlist.Delta]{name: compWatchlist, set: w.SetDeltaJournal, cut: w.CutDelta},
 			}); err != nil {
 				return err
 			}
 		}
-		if f.Feed != nil {
+		if l := f.Feed; l != nil {
 			if err := r.RegisterOptional(&comp[feed.State]{
-				name: compFeed, snap: f.Feed.Snapshot, restore: f.Feed.Restore,
+				name: compFeed, snap: l.Snapshot, restore: l.Restore,
+				journal: journal[feed.Delta]{name: compFeed, set: l.SetDeltaJournal, cut: l.CutDelta},
 			}); err != nil {
 				return err
 			}
@@ -176,4 +169,61 @@ func (s *Study) buildRegistry() error {
 	}
 	s.registry = r
 	return nil
+}
+
+// fold replays one component's patches during chain replay: it holds
+// the component's state decoded once from the chain's base, applies
+// each patch in order and marshals once at the tip, so replay costs one
+// decode per patch instead of a decode and a marshal of the whole
+// component per delta.
+type fold interface {
+	apply(patch json.RawMessage) error
+	marshal() (json.RawMessage, error)
+}
+
+// typedFold is the fold of a component with state S and patch D.
+type typedFold[S any, D interface{ Apply(*S) error }] struct{ st S }
+
+func newFold[S any, D interface{ Apply(*S) error }](base json.RawMessage) (fold, error) {
+	f := &typedFold[S, D]{}
+	if err := json.Unmarshal(base, &f.st); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+func (f *typedFold[S, D]) apply(patch json.RawMessage) error {
+	var d D
+	if err := json.Unmarshal(patch, &d); err != nil {
+		return err
+	}
+	return d.Apply(&f.st)
+}
+
+func (f *typedFold[S, D]) marshal() (json.RawMessage, error) { return json.Marshal(f.st) }
+
+// foldFor is the one table from component key to typed fold: every
+// component key a chain can carry a patch for, with its state and patch
+// types.
+func foldFor(key string) (func(base json.RawMessage) (fold, error), bool) {
+	switch {
+	case key == compCore:
+		return newFold[coreState, coreStateDelta], true
+	case key == compDedup:
+		return newFold[dedup.State, dedup.Delta], true
+	case key == compMonitor:
+		return newFold[monitor.State, monitor.Delta], true
+	case key == compPastebin:
+		return newFold[crawler.PastebinState, crawler.PastebinDelta], true
+	case strings.HasPrefix(key, "crawler/"):
+		return newFold[crawler.BoardState, crawler.BoardDelta], true
+	case key == compNotify:
+		return newFold[notify.State, notify.Delta], true
+	case key == compWatchlist:
+		return newFold[watchlist.State, watchlist.Delta], true
+	case key == compFeed:
+		return newFold[feed.State, feed.Delta], true
+	default:
+		return nil, false
+	}
 }

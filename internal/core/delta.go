@@ -16,12 +16,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
-	"doxmeter/internal/crawler"
-	"doxmeter/internal/dedup"
-	"doxmeter/internal/monitor"
 	"doxmeter/internal/store"
 )
 
@@ -89,7 +85,7 @@ func (s *Study) resetCoreJournal() {
 // Apply reconstructs the coreState at the delta's cut from the state at
 // its base. Mirrors coreState(): sorted FlaggedP1, commit-ordered
 // PastebinP1 and Doxes.
-func (d coreStateDelta) Apply(st *coreState) {
+func (d coreStateDelta) Apply(st *coreState) error {
 	st.Collected = d.Collected
 	st.CollectedBySite = d.CollectedBySite
 	st.Flagged = d.Flagged
@@ -108,6 +104,7 @@ func (d coreStateDelta) Apply(st *coreState) {
 		}
 	}
 	st.Doxes = append(st.Doxes, d.AddedDoxes...)
+	return nil
 }
 
 // mergeSortedUnique merges two sorted string slices, dropping duplicates.
@@ -138,36 +135,42 @@ func mergeSortedUnique(a, b []string) []string {
 }
 
 // drainJournals cuts and discards every component journal, re-anchoring
-// all of them at the current state. Used by full cuts (the image covers
+// all of them at the current state. Used by full cuts: the image covers
 // everything, so pending journal entries must not leak into the next
-// delta) and by restores.
+// delta. Only the re-anchoring matters, so a discarded patch's error does
+// too.
 func (s *Study) drainJournals() {
 	_ = s.registry.Each(func(c store.Component, _ bool) error {
-		if j := c.DeltaJournal(); j != nil {
-			_, _, _ = j.Cut()
-		}
+		_, _, _ = c.DeltaJournal().Cut()
 		return nil
 	})
 }
 
 // buildDelta assembles the incremental checkpoint for the current cut by
-// iterating the component registry: journaling components cut their
-// journals (OpPatch when dirty, OpRef when clean; the core journal is
-// always dirty — days_done and the run digest advance every day), and
-// journal-less components (the attached mitigation services) travel
-// wholesale. OpFull is correct even when the chain's anchor predates a
-// service's attachment — ApplyDeltaChain adds absent-from-base components
-// only for OpFull — and leaves no typed patch codec to register.
+// iterating the component registry: each component cuts its journal
+// (OpPatch when dirty, OpRef when clean; the core journal is always
+// dirty — days_done and the run digest advance every day). A component
+// whose state the chain does not hold yet — a service attached after the
+// chain's anchor was cut — travels whole once (OpFull), since there is
+// no base to patch. Its journal is drained before its snapshot is taken,
+// so a mutation racing with the cut (an HTTP subscribe) lands in the
+// payload, the next patch or both, never in neither; every delta form
+// is idempotent under such a repeat.
 func (s *Study) buildDelta(periodNo, day int) (*store.Delta, error) {
 	comps := make(map[string]store.ComponentDelta, s.registry.Len())
 	if err := s.registry.Each(func(c store.Component, _ bool) error {
+		name := c.Name()
 		j := c.DeltaJournal()
-		if j == nil {
+		if !s.inChain[name] {
+			if _, _, err := j.Cut(); err != nil {
+				return err
+			}
 			b, err := c.Snapshot()
 			if err != nil {
 				return err
 			}
-			comps[c.Name()] = store.ComponentDelta{Op: store.OpFull, Payload: b}
+			comps[name] = store.ComponentDelta{Op: store.OpFull, Payload: b}
+			s.inChain[name] = true
 			return nil
 		}
 		patch, dirty, err := j.Cut()
@@ -175,10 +178,10 @@ func (s *Study) buildDelta(periodNo, day int) (*store.Delta, error) {
 			return err
 		}
 		if !dirty {
-			comps[c.Name()] = store.ComponentDelta{Op: store.OpRef}
+			comps[name] = store.ComponentDelta{Op: store.OpRef}
 			return nil
 		}
-		comps[c.Name()] = store.ComponentDelta{Op: store.OpPatch, Payload: patch}
+		comps[name] = store.ComponentDelta{Op: store.OpPatch, Payload: patch}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -194,90 +197,73 @@ func (s *Study) buildDelta(periodNo, day int) (*store.Delta, error) {
 	}, nil
 }
 
-// patchComponent applies one typed component patch to its decoded base
-// and re-marshals it. S is the component's state type, D its delta.
-func patchComponent[S any, D interface{ Apply(*S) }](key string, base, patch json.RawMessage) (json.RawMessage, error) {
-	var st S
-	if err := json.Unmarshal(base, &st); err != nil {
-		return nil, fmt.Errorf("core: delta apply %s: base: %w", key, err)
-	}
-	var d D
-	if err := json.Unmarshal(patch, &d); err != nil {
-		return nil, fmt.Errorf("core: delta apply %s: patch: %w", key, err)
-	}
-	d.Apply(&st)
-	b, err := json.Marshal(st)
-	if err != nil {
-		return nil, fmt.Errorf("core: delta apply %s: %w", key, err)
-	}
-	return b, nil
-}
-
-// applyComponentPatch dispatches an OpPatch payload to the component's
-// typed apply.
-func applyComponentPatch(key string, base, patch json.RawMessage) (json.RawMessage, error) {
-	switch {
-	case key == compCore:
-		return patchComponent[coreState, coreStateDelta](key, base, patch)
-	case key == compDedup:
-		return patchComponent[dedup.State, dedup.Delta](key, base, patch)
-	case key == compMonitor:
-		return patchComponent[monitor.State, monitor.Delta](key, base, patch)
-	case key == compPastebin:
-		return patchComponent[crawler.PastebinState, crawler.PastebinDelta](key, base, patch)
-	case strings.HasPrefix(key, "crawler/"):
-		return patchComponent[crawler.BoardState, crawler.BoardDelta](key, base, patch)
-	default:
-		return nil, fmt.Errorf("core: delta apply: unknown component %q", key)
-	}
-}
-
 // ApplyDeltaChain folds a delta chain into its base snapshot, producing
-// the snapshot at the chain tip. The result is byte-for-byte the full
-// snapshot an uninterrupted run would have written there. An empty chain
+// the snapshot at the chain tip: byte for byte the full snapshot an
+// uninterrupted run would have written there. A ref carries a payload
+// forward and a full replaces it; a patched component is decoded once,
+// patched by every delta in order and marshalled once at the tip (see
+// fold), so replay is linear in the chain's bytes. An empty chain
 // returns the base unchanged.
 func ApplyDeltaChain(base *store.Snapshot, deltas []*store.Delta) (*store.Snapshot, error) {
-	snap := base
+	if len(deltas) == 0 {
+		return base, nil
+	}
+	raw := make(map[string]json.RawMessage, len(base.Components))
+	for key, b := range base.Components {
+		raw[key] = b
+	}
+	folds := make(map[string]fold)
+	seq := base.Seq
 	for _, d := range deltas {
-		if d.BaseSeq != snap.Seq {
-			return nil, fmt.Errorf("core: delta seq %d applies to base %d, have %d", d.Seq, d.BaseSeq, snap.Seq)
+		if d.BaseSeq != seq {
+			return nil, fmt.Errorf("core: delta seq %d applies to base %d, have %d", d.Seq, d.BaseSeq, seq)
 		}
-		next := &store.Snapshot{
-			Seq: d.Seq, Meta: d.Meta,
-			Components: make(map[string]json.RawMessage, len(snap.Components)),
-		}
-		for key, raw := range snap.Components {
-			cd, ok := d.Components[key]
-			if !ok {
+		for key := range raw {
+			if _, ok := d.Components[key]; !ok {
 				return nil, fmt.Errorf("core: delta %d drops component %q", d.Seq, key)
+			}
+		}
+		for key, cd := range d.Components {
+			_, have := raw[key]
+			if !have && cd.Op != store.OpFull {
+				// A component absent from the state must arrive whole:
+				// there is nothing to reference or patch.
+				return nil, fmt.Errorf("core: delta %d component %q: op %q without a base", d.Seq, key, cd.Op)
 			}
 			switch cd.Op {
 			case store.OpRef:
-				next.Components[key] = raw
 			case store.OpFull:
-				next.Components[key] = cd.Payload
+				raw[key] = cd.Payload
+				delete(folds, key)
 			case store.OpPatch:
-				patched, err := applyComponentPatch(key, raw, cd.Payload)
-				if err != nil {
-					return nil, err
+				f := folds[key]
+				if f == nil {
+					newFold, ok := foldFor(key)
+					if !ok {
+						return nil, fmt.Errorf("core: delta apply: unknown component %q", key)
+					}
+					var err error
+					if f, err = newFold(raw[key]); err != nil {
+						return nil, fmt.Errorf("core: delta apply %s: base: %w", key, err)
+					}
+					folds[key] = f
 				}
-				next.Components[key] = patched
+				if err := f.apply(cd.Payload); err != nil {
+					return nil, fmt.Errorf("core: delta %d apply %s: %w", d.Seq, key, err)
+				}
 			default:
 				return nil, fmt.Errorf("core: delta %d component %q: unknown op %q", d.Seq, key, cd.Op)
 			}
 		}
-		// A component absent from the base must arrive wholesale: there
-		// is nothing to reference or patch.
-		for key, cd := range d.Components {
-			if _, ok := snap.Components[key]; ok {
-				continue
-			}
-			if cd.Op != store.OpFull {
-				return nil, fmt.Errorf("core: delta %d component %q: op %q without a base", d.Seq, key, cd.Op)
-			}
-			next.Components[key] = cd.Payload
-		}
-		snap = next
+		seq = d.Seq
 	}
-	return snap, nil
+	for key, f := range folds {
+		b, err := f.marshal()
+		if err != nil {
+			return nil, fmt.Errorf("core: delta apply %s: %w", key, err)
+		}
+		raw[key] = b
+	}
+	tip := deltas[len(deltas)-1]
+	return &store.Snapshot{Seq: tip.Seq, Meta: tip.Meta, Components: raw}, nil
 }

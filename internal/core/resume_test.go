@@ -660,21 +660,24 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 }
 
 // TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor
-// lies outside [0, the snapshot's virtual time], or whose monitor holds an
-// observation with a status osn does not define, must make Resume fail,
-// whether the bad value sits in a full snapshot or in the tip of a delta
-// chain. Before the check, a cursor of 2^40 resumed and silently stopped
-// collection.
+// lies outside [0, the snapshot's virtual time], whose monitor holds an
+// observation with a status osn does not define, whose feed's event seqs
+// skip or start below 1, or whose notification registry holds a negative
+// counter must make Resume fail, whether the bad value sits in a full
+// snapshot or in the tip of a delta chain. Before the check, a cursor of
+// 2^40 resumed and silently stopped collection, and a feed seq gap
+// replayed old events to a consumer as new ones.
 func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	t.Parallel()
 	setCursor := func(c float64) func(map[string]any) int {
 		return func(v map[string]any) int { v["cursor"] = c; return 1 }
 	}
-	// Full monitor state lists "histories"; a delta patch lists "upserts".
+	// Full monitor state lists "histories"; a delta patch lists new
+	// histories under "upserts" and scraped ones under "appends".
 	setStatus := func(st float64) func(map[string]any) int {
 		return func(v map[string]any) int {
 			n := 0
-			for _, key := range []string{"histories", "upserts"} {
+			for _, key := range []string{"histories", "upserts", "appends"} {
 				hs, _ := v[key].([]any)
 				for _, h := range hs {
 					obs, _ := h.(map[string]any)["obs"].([]any)
@@ -687,31 +690,81 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 			return n
 		}
 	}
+	// Full feed state and feed delta both list "events" and "next_seq".
+	// seqGap moves the newest event and next_seq up by one, leaving a
+	// hole below it; seqZero renumbers the events from 0.
+	events := func(v map[string]any) []map[string]any {
+		raw, _ := v["events"].([]any)
+		out := make([]map[string]any, len(raw))
+		for i, e := range raw {
+			out[i] = e.(map[string]any)
+		}
+		return out
+	}
+	seqGap := func(v map[string]any) int {
+		evs := events(v)
+		if len(evs) == 0 {
+			return 0
+		}
+		evs[len(evs)-1]["seq"] = evs[len(evs)-1]["seq"].(float64) + 1
+		v["next_seq"] = v["next_seq"].(float64) + 1
+		return 1
+	}
+	seqZero := func(v map[string]any) int {
+		evs := events(v)
+		if len(evs) == 0 {
+			return 0
+		}
+		first := evs[0]["seq"].(float64)
+		for _, e := range evs {
+			e["seq"] = e["seq"].(float64) - first
+		}
+		v["next_seq"] = evs[len(evs)-1]["seq"].(float64) + 1
+		return len(evs)
+	}
+	setCounter := func(key string) func(map[string]any) int {
+		return func(v map[string]any) int { v[key] = -1.0; return 1 }
+	}
 	tampers := []struct {
 		name, comp string
 		edit       func(map[string]any) int
+		service    bool
 	}{
-		{"negative-cursor", "crawler/pastebin", setCursor(-1)},
-		{"future-cursor", "crawler/pastebin", setCursor(1 << 40)},
-		{"unknown-status", "monitor", setStatus(7)},
-		{"negative-status", "monitor", setStatus(-1)},
+		{"negative-cursor", "crawler/pastebin", setCursor(-1), false},
+		{"future-cursor", "crawler/pastebin", setCursor(1 << 40), false},
+		{"unknown-status", "monitor", setStatus(7), false},
+		{"negative-status", "monitor", setStatus(-1), false},
+		{"feed-seq-gap", "service/feed", seqGap, true},
+		{"feed-seq-zero", "service/feed", seqZero, true},
+		{"notify-negative-ingested", "service/notify", setCounter("ingested"), true},
+		{"notify-negative-notified", "service/notify", setCounter("notified"), true},
+		{"notify-negative-dropped", "service/notify", setCounter("dropped"), true},
 	}
 	for _, mode := range []core.CheckpointMode{core.CheckpointFull, core.CheckpointDelta} {
 		for _, tc := range tampers {
 			mode, tc := mode, tc
 			t.Run(string(mode)+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
+				cfg := resumeCfg
+				if tc.service {
+					cfg = streamCfg
+				}
 				mem := store.NewMem()
 				ck := &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: mode, CompactEvery: 20}
-				s := newDurableStudyCkpt(t, resumeCfg(1, false), ck)
+				s := newDurableStudyCkpt(t, cfg(1, false), ck)
 				s.Cfg.Progress = &stopAfter{s: s, days: 8}
+				if tc.service {
+					// The services change only on days that commit a
+					// unique dox; stop on one, past the first.
+					s.Cfg.Progress = &stopOnDox{s: s, min: 2}
+				}
 				if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {
 					t.Fatalf("Run = %v, want ErrStopped", err)
 				}
 				s.Close()
 				tamperTip(t, mem, tc.comp, tc.edit, mode == core.CheckpointDelta)
 
-				resumed := newDurableStudyCkpt(t, resumeCfg(1, false), ck)
+				resumed := newDurableStudyCkpt(t, cfg(1, false), ck)
 				defer resumed.Close()
 				if info, err := resumed.Resume(); err == nil {
 					t.Fatalf("Resume over a tampered %s = %+v, nil; want an error", tc.comp, info)
@@ -721,9 +774,25 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	}
 }
 
+// stopOnDox requests a clean stop at the end of the first day that
+// committed a unique dox and leaves at least min of them.
+type stopOnDox struct {
+	s        *core.Study
+	min, had int
+}
+
+func (w *stopOnDox) Write(p []byte) (int, error) {
+	if n := len(w.s.Doxes); n > w.had && n >= w.min {
+		w.s.RequestStop()
+	}
+	w.had = len(w.s.Doxes)
+	return len(p), nil
+}
+
 // tamperTip rewrites one component of a state dir's newest cut through
 // edit, which reports how many values it changed: the tip delta of the
-// chain when wantDelta is set, the latest full snapshot otherwise.
+// chain when wantDelta is set, the latest full snapshot otherwise. A tip
+// delta must carry the component as a patch or whole.
 func tamperTip(t *testing.T, mem *store.Mem, comp string, edit func(map[string]any) int, wantDelta bool) {
 	t.Helper()
 	base, deltas, err := mem.LoadChain()
@@ -734,12 +803,13 @@ func tamperTip(t *testing.T, mem *store.Mem, comp string, edit func(map[string]a
 		t.Fatalf("state dir holds %d deltas, want a delta tip: %v", len(deltas), wantDelta)
 	}
 	payload := base.Components[comp]
+	var op string
 	if wantDelta {
 		cd := deltas[len(deltas)-1].Components[comp]
-		if cd.Op != store.OpPatch {
-			t.Fatalf("tip delta carries %s as %q, want a patch", comp, cd.Op)
+		if cd.Op != store.OpPatch && cd.Op != store.OpFull {
+			t.Fatalf("tip delta carries %s as %q, want a patch or a full payload", comp, cd.Op)
 		}
-		payload = cd.Payload
+		payload, op = cd.Payload, cd.Op
 	}
 	var v map[string]any
 	if err := json.Unmarshal(payload, &v); err != nil {
@@ -754,7 +824,7 @@ func tamperTip(t *testing.T, mem *store.Mem, comp string, edit func(map[string]a
 	}
 	if wantDelta {
 		tip := deltas[len(deltas)-1]
-		tip.Components[comp] = store.ComponentDelta{Op: store.OpPatch, Payload: b}
+		tip.Components[comp] = store.ComponentDelta{Op: op, Payload: b}
 		_, err = mem.SaveDelta(tip)
 	} else {
 		base.Components[comp] = b
@@ -830,7 +900,7 @@ func TestResumeSoak(t *testing.T) {
 		ck := &core.CheckpointConfig{Store: store.NewMem(), EveryDays: 1}
 		if rng.Intn(2) == 1 {
 			ck.Mode = core.CheckpointDelta
-			ck.CompactEvery = 1 + rng.Intn(8)
+			ck.CompactEvery = rng.Intn(9) // 0 compacts by bytes, the default
 		}
 		t.Logf("iter %d: parallelism=%d mild=%v cuts=%v mode=%q compact=%d",
 			iter, parallelism, mild, cuts, ck.Mode, ck.CompactEvery)

@@ -347,6 +347,12 @@ func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
 		return err
 	}
 	s.ckptSeq = snap.Seq
+	if s.deltaMode {
+		clear(s.inChain)
+		for name := range snap.Components {
+			s.inChain[name] = true
+		}
+	}
 	s.resumed = true
 	s.resumeP = snap.Meta.Period
 	s.resumeDay = snap.Meta.Day
@@ -377,19 +383,16 @@ func (s *Study) Resume() (ResumeInfo, error) {
 		return ResumeInfo{}, errors.New("core: Resume requires StudyConfig.Checkpoint")
 	}
 	start := time.Now()
-	var snap *store.Snapshot
+	var snap, base *store.Snapshot
+	var deltas []*store.Delta
 	var err error
-	chainLen := 0
 	if ds, ok := ck.Store.(store.DeltaStore); ok {
 		// Replay full-snapshot + delta chain. A dir written in full mode
 		// simply yields an empty chain; a dir written in delta mode
 		// resumed by a full-mode study still reconstructs the tip.
-		var base *store.Snapshot
-		var deltas []*store.Delta
 		base, deltas, err = ds.LoadChain()
 		if err == nil {
 			snap, err = ApplyDeltaChain(base, deltas)
-			chainLen = len(deltas)
 		}
 	} else {
 		snap, err = ck.Store.LoadSnapshot()
@@ -403,16 +406,20 @@ func (s *Study) Resume() (ResumeInfo, error) {
 	if err := s.RestoreSnapshot(snap); err != nil {
 		return ResumeInfo{}, err
 	}
+	entries, entriesErr := ck.Store.Entries()
 	if s.deltaMode {
 		s.haveBase = true
-		s.cutsSinceFull = chainLen
-		s.m.chainLength.Set(float64(chainLen))
+		s.cutsSinceFull = len(deltas)
+		if s.fullBytes, s.deltaBytes, err = chainBytes(entries, base, deltas); err != nil {
+			return ResumeInfo{}, err
+		}
+		s.m.chainLength.Set(float64(len(deltas)))
 	}
 	s.m.checkpointRestore.Observe(time.Since(start).Seconds())
 	// Cross-check against the commit log: the day entry matching the
 	// snapshot must carry the same rolling digest, or the state dir
 	// belongs to a different run.
-	if entries, err := ck.Store.Entries(); err == nil {
+	if entriesErr == nil {
 		for i := len(entries) - 1; i >= 0; i-- {
 			e := entries[i]
 			if e.Kind != store.KindDay || e.Period != snap.Meta.Period || e.Day != snap.Meta.Day {
@@ -456,18 +463,68 @@ func (s *Study) appendDayEntry(periodNo, day int) error {
 	})
 }
 
+// chainBytes recovers the encoded sizes the byte compaction rule counts
+// for a loaded chain — its full, and the sum of the deltas above it — as
+// the run that wrote them counted them: from the newest commit-log entry
+// of each cut. When the log lacks one (a kill between a file's rename and
+// its log append), the chain is re-encoded plain instead.
+func chainBytes(entries []store.Entry, base *store.Snapshot, deltas []*store.Delta) (full, sum int, err error) {
+	logged := make(map[uint64]int, len(deltas)+1)
+	for _, e := range entries {
+		if (e.Kind == store.KindSnapshot && e.Seq == base.Seq) || (e.Kind == store.KindDelta && e.Seq > base.Seq) {
+			logged[e.Seq] = e.Bytes
+		}
+	}
+	size := func(seq uint64, encode func() ([]byte, error)) (int, error) {
+		if n := logged[seq]; n > 0 {
+			return n, nil
+		}
+		b, err := encode()
+		return len(b), err
+	}
+	if full, err = size(base.Seq, func() ([]byte, error) { return store.Encode(base) }); err != nil {
+		return 0, 0, err
+	}
+	for _, d := range deltas {
+		n, err := size(d.Seq, func() ([]byte, error) { return store.EncodeDelta(d) })
+		if err != nil {
+			return 0, 0, err
+		}
+		sum += n
+	}
+	return full, sum, nil
+}
+
+// compactionDue reports whether a delta-mode cut with an anchored chain
+// must write a full snapshot: after CompactEvery deltas when that is
+// positive, otherwise once the deltas since the last full add up to at
+// least its encoded bytes.
+func (s *Study) compactionDue(ck *CheckpointConfig) bool {
+	if ck.CompactEvery > 0 {
+		return s.cutsSinceFull >= ck.CompactEvery
+	}
+	return s.deltaBytes >= s.fullBytes
+}
+
 // writeCheckpoint persists a checkpoint at the current day boundary and
-// logs it. In delta mode a cut with an anchored chain shorter than
-// CompactEvery writes an incremental delta; the first cut and every
-// CompactEvery-th thereafter write a full snapshot (compaction), which
-// bounds the chain any resume has to replay.
+// logs it. In delta mode a cut with an anchored chain writes an
+// incremental delta until compactionDue; the first cut and every
+// compaction write a full snapshot, which bounds the chain any resume has
+// to replay.
 func (s *Study) writeCheckpoint(periodNo, day int) error {
 	ck := s.ckpt()
 	s.ckptSeq++
-	if s.deltaMode && s.haveBase && s.cutsSinceFull < ck.CompactEvery {
+	if s.deltaMode && s.haveBase && !s.compactionDue(ck) {
 		if ds, ok := ck.Store.(store.DeltaStore); ok {
 			return s.writeDeltaCheckpoint(ds, periodNo, day)
 		}
+	}
+	if s.deltaMode {
+		// The full image covers every journaled mutation, so the next
+		// delta diffs against this cut. Drain before the image is taken:
+		// a mutation racing with the cut then lands in the image, the
+		// next delta or both, never in neither.
+		s.drainJournals()
 	}
 	snap, err := s.Snapshot(periodNo, day)
 	if err != nil {
@@ -482,11 +539,12 @@ func (s *Study) writeCheckpoint(periodNo, day int) error {
 	s.m.checkpointBytes.Observe(float64(n))
 	s.CheckpointsWritten++
 	if s.deltaMode {
-		// The full image covers every journaled mutation; drain so the
-		// next delta diffs against this cut, and re-anchor the chain.
-		s.drainJournals()
 		s.haveBase = true
 		s.cutsSinceFull = 0
+		s.fullBytes, s.deltaBytes = n, 0
+		for name := range snap.Components {
+			s.inChain[name] = true
+		}
 		s.m.chainLength.Set(0)
 	}
 	return ck.Store.AppendEntry(store.Entry{
@@ -510,6 +568,7 @@ func (s *Study) writeDeltaCheckpoint(ds store.DeltaStore, periodNo, day int) err
 	s.m.deltaWrite.Observe(time.Since(start).Seconds())
 	s.m.deltaBytes.Observe(float64(n))
 	s.cutsSinceFull++
+	s.deltaBytes += n
 	s.m.chainLength.Set(float64(s.cutsSinceFull))
 	s.CheckpointsWritten++
 	return ds.AppendEntry(store.Entry{

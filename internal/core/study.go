@@ -121,9 +121,9 @@ const (
 	// default). Any store.Store backend works.
 	CheckpointFull CheckpointMode = "full"
 	// CheckpointDelta writes a full snapshot only at the chain anchors
-	// (the first cut, and every CompactEvery cuts thereafter) and a
-	// compact diff against the previous cut in between. Requires a
-	// backend implementing store.DeltaStore.
+	// (the first cut, then each compaction CheckpointConfig.CompactEvery
+	// calls for) and a compact diff against the previous cut in between.
+	// Requires a backend implementing store.DeltaStore.
 	CheckpointDelta CheckpointMode = "delta"
 )
 
@@ -150,8 +150,11 @@ type CheckpointConfig struct {
 	// Mode selects full or delta encoding; empty means CheckpointFull.
 	Mode CheckpointMode
 	// CompactEvery bounds the delta chain: after this many consecutive
-	// delta cuts the next cut is a full snapshot (compaction). 0 means
-	// the default of 8. Ignored outside CheckpointDelta mode.
+	// delta cuts the next cut is a full snapshot (compaction). 0, the
+	// default, compacts by bytes instead: the next cut is a full snapshot
+	// once the deltas since the last full add up to at least that full's
+	// encoded size, so a resume replays about as many delta bytes as its
+	// anchor holds at most. Ignored outside CheckpointDelta mode.
 	CompactEvery int
 }
 
@@ -216,11 +219,7 @@ func (c StudyConfig) withDefaults() StudyConfig {
 		if mode == "" {
 			mode = CheckpointFull
 		}
-		compact := ck.CompactEvery
-		if compact < 1 {
-			compact = 8
-		}
-		c.Checkpoint = &CheckpointConfig{Store: ck.Store, EveryDays: every, Mode: mode, CompactEvery: compact}
+		c.Checkpoint = &CheckpointConfig{Store: ck.Store, EveryDays: every, Mode: mode, CompactEvery: ck.CompactEvery}
 	}
 	if c.Scale <= 0 {
 		c.Scale = 0.05
@@ -354,13 +353,16 @@ type Study struct {
 	// Delta-checkpoint state; see delta.go. The core journal tracks what
 	// changed in the study's own component since the last cut; providers
 	// keep their own journals behind SetDeltaJournal.
-	deltaMode         bool     // Checkpoint.Mode == CheckpointDelta
-	haveBase          bool     // a full snapshot anchors the current chain
-	cutsSinceFull     int      // delta cuts since the last full (compaction trigger)
-	ckptDoxN          int      // len(Doxes) at the last cut
-	ckptP1N           int      // len(pastebinP1Docs) at the last cut
-	addedFlaggedP1    []string // flaggedP1 keys added since the last cut
-	addedCollectedIDs []string // CollectedIDs keys added since the last cut
+	deltaMode         bool            // Checkpoint.Mode == CheckpointDelta
+	haveBase          bool            // a full snapshot anchors the current chain
+	cutsSinceFull     int             // delta cuts since the last full (CompactEvery > 0)
+	fullBytes         int             // encoded bytes of the last full (CompactEvery 0)
+	deltaBytes        int             // encoded bytes of the deltas since it
+	inChain           map[string]bool // components whose state the chain holds
+	ckptDoxN          int             // len(Doxes) at the last cut
+	ckptP1N           int             // len(pastebinP1Docs) at the last cut
+	addedFlaggedP1    []string        // flaggedP1 keys added since the last cut
+	addedCollectedIDs []string        // CollectedIDs keys added since the last cut
 
 	// Commit scratch, reused across documents (commit runs only on the
 	// driver goroutine): the site/id key bytes and the text copy handed
@@ -557,10 +559,9 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	// cut serializes only what changed since the previous one.
 	if ck := s.ckpt(); ck != nil && ck.Mode == CheckpointDelta {
 		s.deltaMode = true
+		s.inChain = make(map[string]bool, s.registry.Len())
 		_ = s.registry.Each(func(c store.Component, _ bool) error {
-			if j := c.DeltaJournal(); j != nil {
-				j.SetJournal(true)
-			}
+			c.DeltaJournal().SetJournal(true)
 			return nil
 		})
 	}

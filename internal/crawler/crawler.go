@@ -1049,9 +1049,10 @@ func (c *Pastebin) CutDelta() (PastebinDelta, bool) {
 // Apply folds a delta into a prior PastebinState in place, producing the
 // state the delta was cut from, byte-identical under JSON marshaling to
 // a Snapshot taken at the cut (both keep Seen sorted).
-func (d PastebinDelta) Apply(st *PastebinState) {
+func (d PastebinDelta) Apply(st *PastebinState) error {
 	st.Cursor = d.Cursor
 	st.Seen = mergeSortedStrings(st.Seen, d.Added)
+	return nil
 }
 
 // mergeSortedStrings merges two sorted, mutually disjoint string slices
@@ -1376,7 +1377,7 @@ func (c *Board) CutDelta() (BoardDelta, bool) {
 // state the delta was cut from, byte-identical under JSON marshaling to
 // a Snapshot taken at the cut (JSON object keys marshal sorted; both
 // keep SeenPosts sorted).
-func (d BoardDelta) Apply(st *BoardState) {
+func (d BoardDelta) Apply(st *BoardState) error {
 	if st.LastMod == nil && len(d.LastMod) > 0 {
 		st.LastMod = make(map[int64]int64, len(d.LastMod))
 	}
@@ -1384,4 +1385,5 @@ func (d BoardDelta) Apply(st *BoardState) {
 		st.LastMod[no] = lm
 	}
 	st.SeenPosts = mergeSortedInt64(st.SeenPosts, d.AddedPosts)
+	return nil
 }

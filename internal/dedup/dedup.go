@@ -330,7 +330,7 @@ func (d *Deduper) CutDelta() (Delta, bool) {
 // the delta was cut from. Marshaling the result is byte-identical to
 // marshaling a Snapshot taken at the cut (map iteration order is
 // irrelevant: JSON object keys marshal sorted).
-func (delta Delta) Apply(st *State) {
+func (delta Delta) Apply(st *State) error {
 	if st.Bodies == nil && len(delta.AddedBodies) > 0 {
 		st.Bodies = make(map[string]string, len(delta.AddedBodies))
 	}
@@ -344,4 +344,5 @@ func (delta Delta) Apply(st *State) {
 		st.Accounts[k] = id
 	}
 	st.Stats = delta.Stats
+	return nil
 }

@@ -49,6 +49,7 @@ type Log struct {
 	n         int     // retained count
 	nextSeq   int64   // next sequence number to assign (seqs start at 1)
 	waiter    chan struct{}
+	cutSeq    int64 // nextSeq at the last delta cut
 }
 
 // NewLog returns an empty log with DefaultRetention.
@@ -177,15 +178,15 @@ func (l *Log) Snapshot() State {
 }
 
 // Restore replaces the log contents from a snapshot. If the snapshot holds
-// more events than this log's retention, only the newest are kept.
+// more events than this log's retention, only the newest are kept. Seqs
+// must run consecutively from at least 1 up to next_seq: After finds
+// events by arithmetic on exactly that, so a gap would replay old events
+// as new ones.
 func (l *Log) Restore(st State) error {
-	evs := st.Events
-	if len(evs) > 0 {
-		last := evs[len(evs)-1].Seq
-		if st.NextSeq != last+1 {
-			return fmt.Errorf("feed: snapshot next_seq %d does not follow last event seq %d", st.NextSeq, last)
-		}
+	if err := checkSeqs(st.Events, st.NextSeq); err != nil {
+		return err
 	}
+	evs := st.Events
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if over := len(evs) - l.retention; over > 0 {
@@ -198,8 +199,79 @@ func (l *Log) Restore(st State) error {
 	if l.nextSeq < 1 {
 		l.nextSeq = 1
 	}
+	l.cutSeq = l.nextSeq
 	close(l.waiter) // wake pollers parked across the restore
 	l.waiter = make(chan struct{})
+	return nil
+}
+
+// checkSeqs verifies that events carry consecutive seqs of at least 1 and
+// that nextSeq follows the last of them.
+func checkSeqs(evs []Event, nextSeq int64) error {
+	for i, e := range evs {
+		if e.Seq < 1 {
+			return fmt.Errorf("feed: event seq %d is below 1", e.Seq)
+		}
+		if i > 0 && e.Seq != evs[i-1].Seq+1 {
+			return fmt.Errorf("feed: event seq %d follows seq %d", e.Seq, evs[i-1].Seq)
+		}
+	}
+	if len(evs) > 0 {
+		if last := evs[len(evs)-1].Seq; nextSeq != last+1 {
+			return fmt.Errorf("feed: snapshot next_seq %d does not follow last event seq %d", nextSeq, last)
+		}
+	}
+	return nil
+}
+
+// Delta is the log's incremental checkpoint payload: the events published
+// since the previous cut that are still retained, the oldest retained seq
+// (next_seq when the log is empty), and next_seq.
+type Delta struct {
+	NextSeq  int64   `json:"next_seq"`
+	FirstSeq int64   `json:"first_seq"`
+	Events   []Event `json:"events,omitempty"` // oldest → newest
+}
+
+// SetDeltaJournal re-anchors the delta journal at the current state. The
+// journal is one watermark, so the log pays nothing per publish either
+// way.
+func (l *Log) SetDeltaJournal(bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.cutSeq = l.nextSeq
+}
+
+// CutDelta returns the delta since the previous cut, and whether
+// anything was published since.
+func (l *Log) CutDelta() (Delta, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	first := l.nextSeq - int64(l.n)
+	d := Delta{NextSeq: l.nextSeq, FirstSeq: first}
+	for seq := max(l.cutSeq, first); seq < l.nextSeq; seq++ {
+		d.Events = append(d.Events, l.buf[(l.start+int(seq-first))%len(l.buf)])
+	}
+	dirty := l.nextSeq != l.cutSeq
+	l.cutSeq = l.nextSeq
+	return d, dirty
+}
+
+// Apply folds a delta into a prior State in place, producing the state
+// the delta was cut from: events below first_seq are compacted away and
+// the new ones appended. The result must hold consecutive seqs ending
+// just below next_seq, as Restore requires.
+func (d Delta) Apply(st *State) error {
+	evs := append(st.Events, d.Events...)
+	i := 0
+	for i < len(evs) && evs[i].Seq < d.FirstSeq {
+		i++
+	}
+	evs = evs[i:]
+	if err := checkSeqs(evs, d.NextSeq); err != nil {
+		return err
+	}
+	st.Events, st.NextSeq = evs, d.NextSeq
 	return nil
 }
 

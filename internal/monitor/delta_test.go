@@ -9,11 +9,33 @@ import (
 	"doxmeter/internal/simclock"
 )
 
+// parentFormat rewrites d in the form deltas had before appends: every
+// touched history upserted whole, as it stands in snap.
+func parentFormat(d Delta, snap State) Delta {
+	touched := map[string]bool{}
+	for _, a := range d.Appends {
+		touched[a.Key] = true
+	}
+	for _, hs := range d.Upserts {
+		touched[historyStateKey(hs)] = true
+	}
+	out := Delta{Requests: d.Requests}
+	for _, hs := range snap.Histories { // sorted by account key
+		if touched[historyStateKey(hs)] {
+			out.Upserts = append(out.Upserts, hs)
+		}
+	}
+	return out
+}
+
 // TestDeltaMatchesSnapshot live-drives a monitor day by day — tracked
 // accounts (regular and control) plus scheduled sweeps — cutting a delta
 // each day and applying it to the previous cut's state. Every
 // reconstructed state must marshal byte-identically to the full Snapshot
-// taken at the same cut.
+// taken at the same cut: through the delta as cut (new histories whole,
+// scraped ones as appends), and through the same change in the form
+// deltas had before appends (every touched history whole), which a
+// resume must still replay.
 func TestDeltaMatchesSnapshot(t *testing.T) {
 	r := newRig(t, 0.05)
 	r.mon.SetDeltaJournal(true)
@@ -26,8 +48,11 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 		}
 		return string(b)
 	}
-	var base State
+	var base, parentBase State
 	if err := json.Unmarshal([]byte(marshal(r.mon.Snapshot())), &base); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal([]byte(marshal(r.mon.Snapshot())), &parentBase); err != nil {
 		t.Fatal(err)
 	}
 
@@ -39,7 +64,7 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 
 	end := at.Add(45 * simclock.Day)
 	day := 0
-	sawUpserts := false
+	sawUpserts, sawAppends := false, false
 	for !r.clock.Now().After(end) {
 		if err := r.mon.ProcessDue(ctx); err != nil {
 			t.Fatal(err)
@@ -49,14 +74,26 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 			r.doxAndTrack(netid.Twitter, 2, r.clock.Now())
 		}
 		d, dirty := r.mon.CutDelta()
-		want := marshal(r.mon.Snapshot())
-		var d2 Delta // deltas cross the codec before apply
-		if err := json.Unmarshal([]byte(marshal(d)), &d2); err != nil {
-			t.Fatal(err)
-		}
-		d2.Apply(&base)
-		if got := marshal(base); got != want {
-			t.Fatalf("day %d: delta-applied state diverged:\n%s\nvs\n%s", day, got, want)
+		snap := r.mon.Snapshot()
+		want := marshal(snap)
+		for _, form := range []struct {
+			name string
+			d    Delta
+			base *State
+		}{{"appends", d, &base}, {"parent-format", parentFormat(d, snap), &parentBase}} {
+			var d2 Delta // deltas cross the codec before apply
+			if err := json.Unmarshal([]byte(marshal(form.d)), &d2); err != nil {
+				t.Fatal(err)
+			}
+			if err := d2.Apply(form.base); err != nil {
+				t.Fatalf("day %d: %s delta: %v", day, form.name, err)
+			}
+			if got := marshal(*form.base); got != want {
+				t.Fatalf("day %d: %s delta-applied state diverged:\n%s\nvs\n%s", day, form.name, got, want)
+			}
+			if err := json.Unmarshal([]byte(marshal(*form.base)), form.base); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if len(d.Upserts) > 0 {
 			sawUpserts = true
@@ -64,14 +101,22 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 				t.Fatalf("day %d: upserts present but dirty=false", day)
 			}
 		}
-		if err := json.Unmarshal([]byte(marshal(base)), &base); err != nil {
-			t.Fatal(err)
+		if len(d.Appends) > 0 {
+			sawAppends = true
+			if !dirty {
+				t.Fatalf("day %d: appends present but dirty=false", day)
+			}
+		}
+		for _, a := range d.Appends {
+			if len(a.Obs) > 1 {
+				t.Fatalf("day %d: %s appended %d observations in one daily sweep", day, a.Key, len(a.Obs))
+			}
 		}
 		r.clock.Advance(simclock.Day)
 		day++
 	}
-	if !sawUpserts {
-		t.Fatal("no delta ever carried upserts; harness tracked nothing")
+	if !sawUpserts || !sawAppends {
+		t.Fatalf("deltas carried upserts %v, appends %v; the harness must produce both", sawUpserts, sawAppends)
 	}
 	if _, dirty := r.mon.CutDelta(); dirty {
 		t.Fatal("quiescent cut reported dirty")
@@ -95,9 +140,18 @@ func TestDeltaMatchesSnapshot(t *testing.T) {
 	if err := json.Unmarshal([]byte(marshal(saved)), &st); err != nil {
 		t.Fatal(err)
 	}
-	d.Apply(&st)
+	if err := d.Apply(&st); err != nil {
+		t.Fatal(err)
+	}
 	if got, want := marshal(st), marshal(r.mon.Snapshot()); got != want {
 		t.Fatalf("post-restore delta diverged:\n%s\nvs\n%s", got, want)
+	}
+
+	// An append to an account the state does not hold belongs to another
+	// chain: Apply refuses it instead of dropping the observations.
+	stray := Delta{Requests: st.Requests, Appends: []HistoryAppend{{Key: "facebook:nobody", NextIdx: 1}}}
+	if err := stray.Apply(&st); err == nil {
+		t.Fatal("Apply accepted an append to an untracked account")
 	}
 }
 

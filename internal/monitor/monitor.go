@@ -138,12 +138,13 @@ type Monitor struct {
 	requests    int64
 	parallelism int
 
-	// Delta-checkpoint journal: account keys whose history was created or
-	// mutated since the last cut, kept only while journaling is enabled.
-	// Histories are never removed, so upserting the journaled keys onto
-	// the previous cut's state reproduces the current one.
+	// Delta-checkpoint journal, kept only while journaling is enabled:
+	// for each account key touched since the last cut, the length of its
+	// observation list at that cut, or -1 for a history created since.
+	// Histories are never removed, so upserting the new ones and
+	// appending to the rest reproduces the current state.
 	journalOn       bool
-	journal         map[string]bool
+	journal         map[string]int
 	lastCutRequests int64
 
 	// Sweep instruments; nil (no-op) until Instrument is called.
@@ -252,7 +253,7 @@ func (m *Monitor) TrackUntil(ref netid.Ref, seenAt, endAt time.Time) {
 	}
 	m.histories[key] = &History{Ref: ref, DoxSeenAt: seenAt, nextDue: seenAt, endAt: endAt, Activity: -1}
 	if m.journalOn {
-		m.journal[key] = true
+		m.journal[key] = -1
 	}
 }
 
@@ -274,7 +275,7 @@ func (m *Monitor) TrackControl(id int64, seenAt time.Time) {
 		Activity:  -1,
 	}
 	if m.journalOn {
-		m.journal[key] = true
+		m.journal[key] = -1
 	}
 }
 
@@ -417,20 +418,35 @@ func (m *Monitor) Restore(st State) error {
 	m.histories = histories
 	m.requests = st.Requests
 	if m.journalOn {
-		m.journal = make(map[string]bool)
+		m.journal = make(map[string]int)
 	}
 	m.lastCutRequests = st.Requests
 	return nil
 }
 
 // Delta is the monitor's incremental checkpoint payload: the request
-// counter wholesale plus the full current state of every history touched
-// since the previous cut. Histories are never removed and the per-day
-// touched set is small (the revisit schedule is exponential), so
-// upserting reproduces the next State exactly.
+// counter wholesale, every history created since the previous cut whole,
+// and for every other history scraped since, only what the scrapes
+// changed. Histories are never removed and their identity fields never
+// change, so applying it reproduces the next State exactly. A delta
+// written before Appends existed carries every touched history as an
+// upsert; Apply takes both forms.
 type Delta struct {
-	Requests int64          `json:"requests"`
-	Upserts  []HistoryState `json:"upserts,omitempty"` // sorted by account key
+	Requests int64           `json:"requests"`
+	Upserts  []HistoryState  `json:"upserts,omitempty"` // sorted by account key
+	Appends  []HistoryAppend `json:"appends,omitempty"` // sorted by account key
+}
+
+// HistoryAppend is an existing history's change since the previous cut:
+// the observations it appended and its schedule fields after them.
+type HistoryAppend struct {
+	Key      string        `json:"key"`
+	Obs      []Observation `json:"obs,omitempty"`
+	Verified bool          `json:"verified"`
+	Activity int           `json:"activity"`
+	NextIdx  int           `json:"next_idx"`
+	NextDue  time.Time     `json:"next_due"`
+	Finished bool          `json:"finished,omitempty"`
 }
 
 // historyStateKey reproduces the histories-map key from a history's
@@ -450,7 +466,7 @@ func (m *Monitor) SetDeltaJournal(on bool) {
 	defer m.mu.Unlock()
 	m.journalOn = on
 	if on {
-		m.journal = make(map[string]bool)
+		m.journal = make(map[string]int)
 	} else {
 		m.journal = nil
 	}
@@ -472,11 +488,24 @@ func (m *Monitor) CutDelta() (Delta, bool) {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		d.Upserts = make([]HistoryState, 0, len(keys))
 		for _, k := range keys {
-			d.Upserts = append(d.Upserts, historyState(m.histories[k]))
+			h := m.histories[k]
+			from := m.journal[k]
+			if from < 0 {
+				d.Upserts = append(d.Upserts, historyState(h))
+				continue
+			}
+			d.Appends = append(d.Appends, HistoryAppend{
+				Key:      k,
+				Obs:      append([]Observation(nil), h.Obs[from:]...),
+				Verified: h.Verified,
+				Activity: h.Activity,
+				NextIdx:  h.nextIdx,
+				NextDue:  h.nextDue,
+				Finished: h.finished,
+			})
 		}
-		m.journal = make(map[string]bool)
+		clear(m.journal)
 	}
 	m.lastCutRequests = m.requests
 	return d, dirty
@@ -485,13 +514,18 @@ func (m *Monitor) CutDelta() (Delta, bool) {
 // Apply folds a delta into a prior State in place, producing the state
 // the delta was cut from, byte-identical under JSON marshaling to a
 // Snapshot taken at the cut (both keep Histories sorted by account key).
-func (d Delta) Apply(st *State) {
+// An append to a history the state does not hold is an error: the delta
+// belongs to another chain.
+func (d Delta) Apply(st *State) error {
 	st.Requests = d.Requests
-	for _, hs := range d.Upserts {
-		key := historyStateKey(hs)
-		i := sort.Search(len(st.Histories), func(i int) bool {
+	find := func(key string) int {
+		return sort.Search(len(st.Histories), func(i int) bool {
 			return historyStateKey(st.Histories[i]) >= key
 		})
+	}
+	for _, hs := range d.Upserts {
+		key := historyStateKey(hs)
+		i := find(key)
 		if i < len(st.Histories) && historyStateKey(st.Histories[i]) == key {
 			st.Histories[i] = hs
 			continue
@@ -500,6 +534,20 @@ func (d Delta) Apply(st *State) {
 		copy(st.Histories[i+1:], st.Histories[i:])
 		st.Histories[i] = hs
 	}
+	for _, a := range d.Appends {
+		i := find(a.Key)
+		if i == len(st.Histories) || historyStateKey(st.Histories[i]) != a.Key {
+			return fmt.Errorf("monitor: delta appends to untracked account %q", a.Key)
+		}
+		h := &st.Histories[i]
+		h.Obs = append(h.Obs, a.Obs...)
+		h.Verified = a.Verified
+		h.Activity = a.Activity
+		h.NextIdx = a.NextIdx
+		h.NextDue = a.NextDue
+		h.Finished = a.Finished
+	}
+	return nil
 }
 
 // ProcessDue visits every account whose next scheduled check is due at the
@@ -585,7 +633,10 @@ func (m *Monitor) commit(h *History, res scrapeResult, now time.Time) error {
 	m.requests++
 	m.scrapesC.Inc()
 	if m.journalOn {
-		m.journal[historyKey(h.Control, h.NumericID, h.Ref)] = true
+		key := historyKey(h.Control, h.NumericID, h.Ref)
+		if _, ok := m.journal[key]; !ok {
+			m.journal[key] = len(h.Obs)
+		}
 	}
 	if len(h.Obs) == 0 {
 		h.Verified = res.found

@@ -13,6 +13,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -57,6 +59,14 @@ type Service struct {
 	notified    int
 	ingested    int
 	dropped     int
+
+	// Delta-checkpoint journal, kept only while journaling is enabled:
+	// the digests and subscriber queues touched since the last cut, and
+	// the counters at that cut.
+	journalOn bool
+	jDigests  map[string]bool
+	jQueues   map[string]bool
+	cutCounts [3]int // ingested, notified, dropped
 
 	droppedC *telemetry.Counter // nil until Instrument
 }
@@ -129,6 +139,9 @@ func (s *Service) Subscribe(subscriberID string, kind Kind, value string) {
 		s.subscribers[d] = make(map[string]Kind)
 	}
 	s.subscribers[d][subscriberID] = kind
+	if s.journalOn {
+		s.jDigests[d] = true
+	}
 }
 
 // SubscribeAccount registers a social account.
@@ -144,6 +157,9 @@ func (s *Service) Unsubscribe(subscriberID string, kind Kind, value string) {
 	delete(s.subscribers[d], subscriberID)
 	if len(s.subscribers[d]) == 0 {
 		delete(s.subscribers, d)
+	}
+	if s.journalOn {
+		s.jDigests[d] = true
 	}
 }
 
@@ -198,14 +214,20 @@ func (s *Service) enqueue(sub string, note Notification) {
 		s.droppedC.Add(float64(over))
 	}
 	s.pending[sub] = q
+	if s.journalOn {
+		s.jQueues[sub] = true
+	}
 }
 
 // Drain returns and clears a subscriber's pending notifications.
 func (s *Service) Drain(subscriberID string) []Notification {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := s.pending[subscriberID]
+	out, ok := s.pending[subscriberID]
 	delete(s.pending, subscriberID)
+	if ok && s.journalOn {
+		s.jQueues[subscriberID] = true
+	}
 	return out
 }
 
@@ -280,8 +302,13 @@ func (s *Service) Snapshot() State {
 }
 
 // Restore replaces the registry contents from a snapshot (deep copy). The
-// pending cap is re-applied to restored queues.
+// pending cap is re-applied to restored queues; negative counters are
+// refused.
 func (s *Service) Restore(st State) error {
+	if st.Ingested < 0 || st.Notified < 0 || st.Dropped < 0 {
+		return fmt.Errorf("notify: restore: negative counter (ingested %d, notified %d, dropped %d)",
+			st.Ingested, st.Notified, st.Dropped)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.subscribers = make(map[string]map[string]Kind, len(st.Subscribers))
@@ -305,5 +332,105 @@ func (s *Service) Restore(st State) error {
 		s.droppedC.Add(float64(diff)) // reseed the exported counter
 	}
 	s.dropped = st.Dropped
+	s.resetJournalLocked()
+	return nil
+}
+
+// Delta is the registry's incremental checkpoint payload: every digest
+// and every subscriber queue touched since the previous cut, upserted
+// with its value at the cut or listed as removed, plus the counters
+// wholesale. Applying it to the previous cut's State reproduces the
+// State at this cut.
+type Delta struct {
+	Subscribers    map[string]map[string]Kind `json:"subscribers,omitempty"`
+	RemovedDigests []string                   `json:"removed_digests,omitempty"` // sorted
+	Pending        map[string][]Notification  `json:"pending,omitempty"`
+	Drained        []string                   `json:"drained,omitempty"` // sorted
+	Ingested       int                        `json:"ingested"`
+	Notified       int                        `json:"notified"`
+	Dropped        int                        `json:"dropped"`
+}
+
+// SetDeltaJournal enables (or disables) mutation journaling for delta
+// checkpoints. Enabling starts an empty journal; with journaling off the
+// registry pays nothing per mutation.
+func (s *Service) SetDeltaJournal(on bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.journalOn = on
+	s.resetJournalLocked()
+}
+
+// resetJournalLocked re-anchors the journal at the current state.
+// Callers hold s.mu.
+func (s *Service) resetJournalLocked() {
+	s.jDigests, s.jQueues = nil, nil
+	if s.journalOn {
+		s.jDigests = make(map[string]bool)
+		s.jQueues = make(map[string]bool)
+	}
+	s.cutCounts = [3]int{s.ingested, s.notified, s.dropped}
+}
+
+// CutDelta drains the journal into a Delta covering every mutation since
+// the previous cut, and reports whether anything changed. It runs under
+// the registry lock, so a Subscribe or Drain racing with a cut lands
+// wholly in this cut or wholly in the next.
+func (s *Service) CutDelta() (Delta, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d := Delta{Ingested: s.ingested, Notified: s.notified, Dropped: s.dropped}
+	dirty := len(s.jDigests) > 0 || len(s.jQueues) > 0 || s.cutCounts != [3]int{d.Ingested, d.Notified, d.Dropped}
+	for dg := range s.jDigests {
+		subs, ok := s.subscribers[dg]
+		if !ok {
+			d.RemovedDigests = append(d.RemovedDigests, dg)
+			continue
+		}
+		if d.Subscribers == nil {
+			d.Subscribers = make(map[string]map[string]Kind, len(s.jDigests))
+		}
+		d.Subscribers[dg] = maps.Clone(subs)
+	}
+	for id := range s.jQueues {
+		q, ok := s.pending[id]
+		if !ok {
+			d.Drained = append(d.Drained, id)
+			continue
+		}
+		if d.Pending == nil {
+			d.Pending = make(map[string][]Notification, len(s.jQueues))
+		}
+		d.Pending[id] = append([]Notification(nil), q...)
+	}
+	sort.Strings(d.RemovedDigests)
+	sort.Strings(d.Drained)
+	s.resetJournalLocked()
+	return d, dirty
+}
+
+// Apply folds a delta into a prior State in place, producing the state
+// the delta was cut from; it marshals byte-identically to a Snapshot
+// taken at the cut (JSON object keys marshal sorted).
+func (d Delta) Apply(st *State) error {
+	if st.Subscribers == nil && len(d.Subscribers) > 0 {
+		st.Subscribers = make(map[string]map[string]Kind, len(d.Subscribers))
+	}
+	for dg, subs := range d.Subscribers {
+		st.Subscribers[dg] = subs
+	}
+	for _, dg := range d.RemovedDigests {
+		delete(st.Subscribers, dg)
+	}
+	if st.Pending == nil && len(d.Pending) > 0 {
+		st.Pending = make(map[string][]Notification, len(d.Pending))
+	}
+	for id, q := range d.Pending {
+		st.Pending[id] = q
+	}
+	for _, id := range d.Drained {
+		delete(st.Pending, id)
+	}
+	st.Ingested, st.Notified, st.Dropped = d.Ingested, d.Notified, d.Dropped
 	return nil
 }

@@ -3,6 +3,7 @@ package notify
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"doxmeter/internal/extract"
+	"doxmeter/internal/leakcheck"
 	"doxmeter/internal/netid"
 	"doxmeter/internal/telemetry"
 )
@@ -103,13 +105,22 @@ func TestConcurrentUse(t *testing.T) {
 	wg.Wait()
 }
 
+// TestHTTPAPI drives every route once. Not parallel: the leak check
+// counts goroutines process-wide.
 func TestHTTPAPI(t *testing.T) {
+	settle := leakcheck.Mark(t)
 	s := NewService("x")
 	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	defer func() {
+		srv.Close()
+		tr.CloseIdleConnections()
+		settle()
+	}()
 
 	post := func(path, body string) int {
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewBufferString(body))
+		resp, err := client.Post(srv.URL+path, "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +141,7 @@ func TestHTTPAPI(t *testing.T) {
 	}
 
 	s.Ingest("pastebin", time.Now(), exFromText("Email: a@b.com"))
-	resp, err := http.Get(srv.URL + "/notifications?subscriber=s1")
+	resp, err := client.Get(srv.URL + "/notifications?subscriber=s1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +154,13 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("notes = %v", notes)
 	}
 	// GET without subscriber: 400.
-	resp, _ = http.Get(srv.URL + "/notifications")
+	resp, _ = client.Get(srv.URL + "/notifications")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing subscriber query = %d", resp.StatusCode)
 	}
 	// Stats endpoint.
-	resp, _ = http.Get(srv.URL + "/stats")
+	resp, _ = client.Get(srv.URL + "/stats")
 	var stats map[string]int
 	_ = json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
@@ -157,7 +168,7 @@ func TestHTTPAPI(t *testing.T) {
 		t.Fatalf("stats = %v", stats)
 	}
 	// Method check.
-	resp, _ = http.Get(srv.URL + "/subscribe")
+	resp, _ = client.Get(srv.URL + "/subscribe")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET subscribe = %d", resp.StatusCode)
@@ -229,5 +240,94 @@ func TestSnapshotRestore(t *testing.T) {
 	fresh.Drain("alice")
 	if s.Pending("alice") != 1 {
 		t.Fatal("restore aliased the snapshot's queues")
+	}
+}
+
+// TestDeltaCutsUnderHTTPLoad takes delta cuts while HTTP clients
+// subscribe, unsubscribe and drain, and the study side ingests: the race
+// detector watches the journal, and once the clients stop, the cuts
+// folded over the starting state must equal the final snapshot byte for
+// byte. Every cut runs under the registry lock and every delta entry
+// carries a value, not an operation, so a mutation racing with a cut
+// lands in one cut or the next and none is lost. Not parallel: the leak
+// check counts goroutines process-wide.
+func TestDeltaCutsUnderHTTPLoad(t *testing.T) {
+	settle := leakcheck.Mark(t)
+	s := NewService("x")
+	s.SetPendingCap(4)
+	s.SetDeltaJournal(true)
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Error(err)
+		}
+		return string(b)
+	}
+	var base State
+	if err := json.Unmarshal([]byte(marshal(s.Snapshot())), &base); err != nil {
+		t.Fatal(err)
+	}
+	cut := func() {
+		d, _ := s.CutDelta()
+		var sent Delta
+		if err := json.Unmarshal([]byte(marshal(d)), &sent); err != nil {
+			t.Fatal(err)
+		}
+		if err := sent.Apply(&base); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	srv := httptest.NewServer(s.Handler())
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
+	var wg sync.WaitGroup
+	for c := 0; c < 3; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				route := "/subscribe"
+				if i%5 == 4 {
+					route = "/unsubscribe"
+				}
+				body := fmt.Sprintf(`{"subscriber":"s%d","kind":"email","value":"u%d@mail.example"}`, c, i%3)
+				resp, err := client.Post(srv.URL+route, "application/json", bytes.NewBufferString(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp.Body.Close()
+				if i%3 == 2 {
+					if resp, err = client.Get(fmt.Sprintf("%s/notifications?subscriber=s%d", srv.URL, c)); err != nil {
+						t.Error(err)
+						return
+					}
+					resp.Body.Close()
+				}
+			}
+		}(c)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	ex := exFromText("Email: u0@mail.example\nEmail: u1@mail.example\nEmail: u2@mail.example")
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		s.Ingest("pastebin", time.Unix(100, 0).UTC(), ex)
+		cut()
+	}
+	cut()
+	srv.Close()
+	tr.CloseIdleConnections()
+	settle()
+	if got, want := marshal(base), marshal(s.Snapshot()); got != want {
+		t.Fatalf("cuts folded over the start diverged from the final snapshot:\n%s\nvs\n%s", got, want)
+	}
+	if _, ingested, _ := s.Stats(); ingested < 2 {
+		t.Fatalf("only %d ingests ran beside the clients", ingested)
 	}
 }

@@ -28,7 +28,8 @@ type Durability struct {
 	// Mode is -checkpoint-mode: "full" or "delta".
 	Mode string
 	// CompactEvery is -compact-every: in delta mode, the full-compaction
-	// cadence in deltas (0 = the engine default).
+	// cadence in deltas (0 = compact once the deltas since the last full
+	// outweigh it).
 	CompactEvery int
 	// Compress is -checkpoint-compress.
 	Compress bool
@@ -50,7 +51,7 @@ func (d *Durability) RegisterFlags(fs *flag.FlagSet, full bool) {
 		return
 	}
 	fs.StringVar(&d.Mode, "checkpoint-mode", string(core.CheckpointFull), "checkpoint strategy: full (every cut is a complete snapshot) or delta (incremental diffs with periodic compaction)")
-	fs.IntVar(&d.CompactEvery, "compact-every", 0, "in delta mode, write a full compaction snapshot after this many deltas (0 = default)")
+	fs.IntVar(&d.CompactEvery, "compact-every", 0, "in delta mode, write a full compaction snapshot after this many deltas (0 = once the deltas since the last full add up to its size)")
 	fs.BoolVar(&d.Compress, "checkpoint-compress", false, "flate-compress checkpoint files in -state-dir")
 }
 

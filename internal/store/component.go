@@ -22,15 +22,13 @@ type Component interface {
 	// Restore replaces the component's state from a payload previously
 	// produced by Snapshot.
 	Restore(raw json.RawMessage) error
-	// DeltaJournal returns the component's dirty-tracking journal, or
-	// nil if the component does not journal — a nil-journal component
-	// travels as a full payload in every delta cut.
+	// DeltaJournal returns the component's dirty-tracking journal.
 	DeltaJournal() Journal
 }
 
 // Journal is a component's incremental-checkpoint surface: dirty
-// tracking between cuts plus the pure patch-application function used
-// when a delta chain is replayed on restore.
+// tracking between cuts. Replaying a chain is the study's business: it
+// owns the typed fold from each component's patches back to full state.
 type Journal interface {
 	// SetJournal turns dirty tracking on or off. With journaling off,
 	// Cut reports dirty for any state change since the last cut is
@@ -40,10 +38,6 @@ type Journal interface {
 	// cut and whether anything changed. A clean component returns
 	// (nil, false, nil) and travels as a reference in the delta.
 	Cut() (patch json.RawMessage, dirty bool, err error)
-	// Apply applies patch to a full base payload and returns the new
-	// full payload. It must be a pure function — chain replay runs it
-	// without touching live component state.
-	Apply(base, patch json.RawMessage) (json.RawMessage, error)
 }
 
 // Registry is the ordered table of a study's components. Registration

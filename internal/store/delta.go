@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -104,10 +105,11 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// encodeStream writes the header line and the JSON body of v to w,
-// optionally through flate. fw, when non-nil, is reused via Reset so
-// steady-state compression allocates nothing. Returns bytes written.
-func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, v any, compress bool) (int, error) {
+// encodeStream writes the header line and then the body that body
+// writes, optionally through flate. fw, when non-nil, is reused via
+// Reset so steady-state compression allocates nothing. Returns bytes
+// written.
+func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, compress bool, body func(io.Writer) error) (int, error) {
 	cw := &countingWriter{w: w}
 	header := fmt.Sprintf("%s v%d\n", magic, version)
 	if compress {
@@ -116,7 +118,7 @@ func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, v an
 	if _, err := io.WriteString(cw, header); err != nil {
 		return cw.n, err
 	}
-	body := io.Writer(cw)
+	out := io.Writer(cw)
 	if compress {
 		if fw == nil {
 			var err error
@@ -127,9 +129,9 @@ func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, v an
 		} else {
 			fw.Reset(cw)
 		}
-		body = fw
+		out = fw
 	}
-	if err := json.NewEncoder(body).Encode(v); err != nil {
+	if err := body(out); err != nil {
 		return cw.n, err
 	}
 	if compress {
@@ -138,6 +140,152 @@ func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, v an
 		}
 	}
 	return cw.n, nil
+}
+
+// envelope writes a checkpoint body — the JSON form of a Snapshot or a
+// Delta, byte for byte what json.Encoder.Encode writes for it — straight
+// into its destination. Component payloads are copied verbatim: every
+// component produces its payload with json.Marshal, so it is already
+// compact, HTML-escaped JSON, and json.Encoder would only buffer the
+// whole image and re-scan each payload into the same bytes. A payload
+// decoded from a file is likewise copied as it was read.
+type envelope struct {
+	w   io.Writer
+	b   []byte // pending small tokens, flushed before each payload
+	err error
+}
+
+func (e *envelope) lit(s string) { e.b = append(e.b, s...) }
+
+func (e *envelope) uint(v uint64) { e.b = strconv.AppendUint(e.b, v, 10) }
+
+// str appends s as a JSON string. Keys and ops are plain ASCII in
+// practice; anything else goes through json.Marshal, which escapes it as
+// json.Encoder would.
+func (e *envelope) str(s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, err := json.Marshal(s)
+			if err != nil && e.err == nil {
+				e.err = err
+			}
+			e.b = append(e.b, b...)
+			return
+		}
+	}
+	e.b = append(e.b, '"')
+	e.b = append(e.b, s...)
+	e.b = append(e.b, '"')
+}
+
+// meta appends the study position (small; marshalled as json.Encoder
+// would).
+func (e *envelope) meta(m Meta) {
+	b, err := json.Marshal(m)
+	if err != nil && e.err == nil {
+		e.err = err
+	}
+	e.b = append(e.b, b...)
+}
+
+// payload writes p verbatim after the pending tokens.
+func (e *envelope) payload(p []byte) {
+	e.flush()
+	if e.err == nil {
+		_, e.err = e.w.Write(p)
+	}
+}
+
+func (e *envelope) flush() {
+	if e.err == nil && len(e.b) > 0 {
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
+}
+
+// sortedKeys returns a map's keys in the order json.Encoder writes them.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// writeSnapshotBody writes snap as a v1 snapshot body. A nil payload is
+// written as null and an empty one is refused, as json.Encoder does.
+func writeSnapshotBody(w io.Writer, snap *Snapshot) error {
+	e := &envelope{w: w, b: make([]byte, 0, 256)}
+	e.lit(`{"version":`)
+	e.uint(Version)
+	e.lit(`,"seq":`)
+	e.uint(snap.Seq)
+	e.lit(`,"meta":`)
+	e.meta(snap.Meta)
+	e.lit(`,"components":`)
+	if snap.Components == nil {
+		e.lit("null")
+	} else {
+		e.lit("{")
+		for i, k := range sortedKeys(snap.Components) {
+			if i > 0 {
+				e.lit(",")
+			}
+			e.str(k)
+			e.lit(":")
+			switch p := snap.Components[k]; {
+			case p == nil:
+				e.lit("null")
+			case len(p) == 0:
+				return fmt.Errorf("store: component %q has an empty payload", k)
+			default:
+				e.payload(p)
+			}
+		}
+		e.lit("}")
+	}
+	e.lit("}\n")
+	e.flush()
+	return e.err
+}
+
+// writeDeltaBody writes d as a v1 delta body; an empty payload is
+// omitted, as the omitempty tag tells json.Encoder to.
+func writeDeltaBody(w io.Writer, d *Delta) error {
+	e := &envelope{w: w, b: make([]byte, 0, 256)}
+	e.lit(`{"version":`)
+	e.uint(DeltaVersion)
+	e.lit(`,"seq":`)
+	e.uint(d.Seq)
+	e.lit(`,"base_seq":`)
+	e.uint(d.BaseSeq)
+	e.lit(`,"meta":`)
+	e.meta(d.Meta)
+	e.lit(`,"components":`)
+	if d.Components == nil {
+		e.lit("null")
+	} else {
+		e.lit("{")
+		for i, k := range sortedKeys(d.Components) {
+			if i > 0 {
+				e.lit(",")
+			}
+			cd := d.Components[k]
+			e.str(k)
+			e.lit(`:{"op":`)
+			e.str(cd.Op)
+			if len(cd.Payload) > 0 {
+				e.lit(`,"payload":`)
+				e.payload(cd.Payload)
+			}
+			e.lit("}")
+		}
+		e.lit("}")
+	}
+	e.lit("}\n")
+	e.flush()
+	return e.err
 }
 
 // decodeStream reads a header line from r, validates it against magic
@@ -171,9 +319,9 @@ func encodeSnapshotStream(w io.Writer, fw *flate.Writer, snap *Snapshot, compres
 	if snap == nil {
 		return 0, errors.New("store: cannot encode nil snapshot")
 	}
-	cp := *snap
-	cp.Version = Version
-	n, err := encodeStream(w, fw, Magic, Version, &cp, compress)
+	n, err := encodeStream(w, fw, Magic, Version, compress, func(w io.Writer) error {
+		return writeSnapshotBody(w, snap)
+	})
 	if err != nil {
 		return n, fmt.Errorf("store: encode snapshot: %w", err)
 	}
@@ -206,9 +354,9 @@ func encodeDeltaStream(w io.Writer, fw *flate.Writer, d *Delta, compress bool) (
 	if d == nil {
 		return 0, errors.New("store: cannot encode nil delta")
 	}
-	cp := *d
-	cp.Version = DeltaVersion
-	n, err := encodeStream(w, fw, DeltaMagic, DeltaVersion, &cp, compress)
+	n, err := encodeStream(w, fw, DeltaMagic, DeltaVersion, compress, func(w io.Writer) error {
+		return writeDeltaBody(w, d)
+	})
 	if err != nil {
 		return n, fmt.Errorf("store: encode delta: %w", err)
 	}
@@ -270,47 +418,34 @@ type Codec struct {
 	fw  *flate.Writer
 }
 
-func (c *Codec) encode(magic string, version int, v any) ([]byte, error) {
-	c.buf.Reset()
-	if c.Compress && c.fw == nil {
+// flateWriter returns the reusable flate writer when compressing, else
+// nil.
+func (c *Codec) flateWriter() *flate.Writer {
+	if !c.Compress {
+		return nil
+	}
+	if c.fw == nil {
 		c.fw, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
 	}
-	var fw *flate.Writer
-	if c.Compress {
-		fw = c.fw
-	}
-	if _, err := encodeStream(&c.buf, fw, magic, version, v, c.Compress); err != nil {
+	return c.fw
+}
+
+// EncodeSnapshot encodes snap into the codec's buffer.
+func (c *Codec) EncodeSnapshot(snap *Snapshot) ([]byte, error) {
+	c.buf.Reset()
+	if _, err := encodeSnapshotStream(&c.buf, c.flateWriter(), snap, c.Compress); err != nil {
 		return nil, err
 	}
 	return c.buf.Bytes(), nil
 }
 
-// EncodeSnapshot encodes snap into the codec's buffer.
-func (c *Codec) EncodeSnapshot(snap *Snapshot) ([]byte, error) {
-	if snap == nil {
-		return nil, errors.New("store: cannot encode nil snapshot")
-	}
-	cp := *snap
-	cp.Version = Version
-	b, err := c.encode(Magic, Version, &cp)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode snapshot: %w", err)
-	}
-	return b, nil
-}
-
 // EncodeDelta encodes d into the codec's buffer.
 func (c *Codec) EncodeDelta(d *Delta) ([]byte, error) {
-	if d == nil {
-		return nil, errors.New("store: cannot encode nil delta")
+	c.buf.Reset()
+	if _, err := encodeDeltaStream(&c.buf, c.flateWriter(), d, c.Compress); err != nil {
+		return nil, err
 	}
-	cp := *d
-	cp.Version = DeltaVersion
-	b, err := c.encode(DeltaMagic, DeltaVersion, &cp)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode delta: %w", err)
-	}
-	return b, nil
+	return c.buf.Bytes(), nil
 }
 
 // DeltaStore is the optional capability a Store may implement to persist

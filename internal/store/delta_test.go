@@ -288,3 +288,59 @@ func TestFileCompressedStateDirResumes(t *testing.T) {
 	}
 	checkChain(t, f, 5, 6, 7, 8)
 }
+
+// TestEnvelopeEdgeCases pins the envelope writer to json.Encoder on the
+// shapes a study never writes but a caller may: nil maps, nil payloads,
+// keys and ops that need escaping, and an empty delta payload (omitted).
+// An empty snapshot payload is not JSON; both writers refuse it.
+func TestEnvelopeEdgeCases(t *testing.T) {
+	encoder := func(v any) []byte {
+		var b bytes.Buffer
+		if err := json.NewEncoder(&b).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	meta := testSnapshot(3).Meta
+	snaps := []*Snapshot{
+		{Seq: 1, Meta: meta},
+		{Seq: 2, Meta: meta, Components: map[string]json.RawMessage{}},
+		{Seq: 3, Meta: meta, Components: map[string]json.RawMessage{
+			"a<b>&c": json.RawMessage(`{"x":1}`), "naïve\u2028": nil, "z\"q\\": json.RawMessage(`[]`),
+		}},
+	}
+	for _, snap := range snaps {
+		cp := *snap
+		cp.Version = Version
+		var got bytes.Buffer
+		if err := writeSnapshotBody(&got, snap); err != nil {
+			t.Fatal(err)
+		}
+		if want := encoder(&cp); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("snapshot %d:\n%s\nwant\n%s", snap.Seq, got.Bytes(), want)
+		}
+	}
+	deltas := []*Delta{
+		{Seq: 4, BaseSeq: 3, Meta: meta},
+		{Seq: 5, BaseSeq: 4, Meta: meta, Components: map[string]ComponentDelta{
+			"core": {Op: OpPatch, Payload: json.RawMessage(`{"a":"\u003c"}`)},
+			"b":    {Op: OpRef},
+			"c":    {Op: "odd<op>", Payload: json.RawMessage{}},
+		}},
+	}
+	for _, d := range deltas {
+		cp := *d
+		cp.Version = DeltaVersion
+		var got bytes.Buffer
+		if err := writeDeltaBody(&got, d); err != nil {
+			t.Fatal(err)
+		}
+		if want := encoder(&cp); !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("delta %d:\n%s\nwant\n%s", d.Seq, got.Bytes(), want)
+		}
+	}
+	bad := &Snapshot{Seq: 6, Meta: meta, Components: map[string]json.RawMessage{"core": {}}}
+	if _, err := Encode(bad); err == nil {
+		t.Error("Encode accepted an empty component payload")
+	}
+}

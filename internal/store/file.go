@@ -43,6 +43,7 @@ type File struct {
 	logF     *os.File
 	compress bool
 	fw       *flate.Writer // reused across compressed writes
+	bw       *bufio.Writer // reused across checkpoint writes
 
 	// Commit-log encoder scratch, reused across appends under mu: one
 	// buffer and one encoder instead of a fresh json.Marshal slice per
@@ -126,10 +127,14 @@ func (f *File) writeAtomicLocked(final string, encode func(io.Writer) (int, erro
 	}
 	tmpName := tmp.Name()
 	cleanup := func() { tmp.Close(); os.Remove(tmpName) }
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	n, err := encode(bw)
+	if f.bw == nil {
+		f.bw = bufio.NewWriterSize(tmp, 1<<20)
+	} else {
+		f.bw.Reset(tmp)
+	}
+	n, err := encode(f.bw)
 	if err == nil {
-		err = bw.Flush()
+		err = f.bw.Flush()
 	}
 	if err != nil {
 		cleanup()

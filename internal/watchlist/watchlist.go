@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -35,6 +36,10 @@ type Watchlist struct {
 
 	mu      sync.RWMutex
 	entries map[string]*Entry
+
+	// Delta-checkpoint journal: keys added, renewed or purged since the
+	// last cut; nil while journaling is off.
+	journal map[string]bool
 }
 
 // New creates a watchlist. now supplies current time (virtual clocks in the
@@ -107,6 +112,9 @@ func (w *Watchlist) add(key, source string) {
 	now := w.now()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.journal != nil {
+		w.journal[key] = true
+	}
 	if e, ok := w.entries[key]; ok && now.Before(e.ExpiresAt) {
 		e.Hits++
 		e.ExpiresAt = now.Add(w.ttl) // a repeat listing renews the window
@@ -146,6 +154,9 @@ func (w *Watchlist) Purge() int {
 		if !now.Before(e.ExpiresAt) {
 			delete(w.entries, k)
 			dropped++
+			if w.journal != nil {
+				w.journal[k] = true
+			}
 		}
 	}
 	return dropped
@@ -185,6 +196,68 @@ func (w *Watchlist) Restore(st State) error {
 	for k, e := range st.Entries {
 		cp := e
 		w.entries[k] = &cp
+	}
+	if w.journal != nil {
+		w.journal = make(map[string]bool)
+	}
+	return nil
+}
+
+// Delta is the watchlist's incremental checkpoint payload: every entry
+// added or renewed since the previous cut, and every key purged.
+type Delta struct {
+	Upserts map[string]Entry `json:"upserts,omitempty"`
+	Removed []string         `json:"removed,omitempty"` // sorted
+}
+
+// SetDeltaJournal enables (or disables) mutation journaling for delta
+// checkpoints. Enabling starts an empty journal; with journaling off the
+// watchlist pays nothing per listing.
+func (w *Watchlist) SetDeltaJournal(on bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.journal = nil
+	if on {
+		w.journal = make(map[string]bool)
+	}
+}
+
+// CutDelta drains the journal into a Delta covering every mutation since
+// the previous cut, and reports whether anything changed.
+func (w *Watchlist) CutDelta() (Delta, bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	var d Delta
+	for k := range w.journal {
+		e, ok := w.entries[k]
+		if !ok {
+			d.Removed = append(d.Removed, k)
+			continue
+		}
+		if d.Upserts == nil {
+			d.Upserts = make(map[string]Entry, len(w.journal))
+		}
+		d.Upserts[k] = *e
+	}
+	sort.Strings(d.Removed)
+	dirty := len(w.journal) > 0
+	if dirty {
+		w.journal = make(map[string]bool)
+	}
+	return d, dirty
+}
+
+// Apply folds a delta into a prior State in place, producing the state
+// the delta was cut from.
+func (d Delta) Apply(st *State) error {
+	if st.Entries == nil && len(d.Upserts) > 0 {
+		st.Entries = make(map[string]Entry, len(d.Upserts))
+	}
+	for k, e := range d.Upserts {
+		st.Entries[k] = e
+	}
+	for _, k := range d.Removed {
+		delete(st.Entries, k)
 	}
 	return nil
 }

@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
+.PHONY: all build fmt-check vet test test-race fuzz-smoke chaos resume-soak perfbench-check check bench bench-quick bench-json bench-check profile loadtest examples run-pipeline clean
 
 all: check
 
 # The default verification path: build, a gofmt check over every tracked
 # Go file, vet, tests, the race detector over the concurrent pipeline
 # (crawler fan-out, worker pool, monitor sweep, chaos suite), a short fuzz
-# smoke over every parser that eats network bytes, and the hot-path
-# benchmark regression gate.
-check: build fmt-check vet test test-race fuzz-smoke bench-check
+# smoke over every parser that eats network bytes, vet and tests of the
+# benchmark module, and the hot-path benchmark regression gate.
+check: build fmt-check vet test test-race fuzz-smoke perfbench-check bench-check
 
 build:
 	$(GO) build ./...
@@ -59,10 +59,17 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzFileEntries -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/store
 	$(GO) test -fuzz=FuzzServiceDeltas -fuzztime=$(FUZZTIME) -fuzzminimizetime=2s -run NONE ./internal/stream
 
+# perfbench/ is a module of its own (it reaches the program through a
+# replace directive), so `go build ./...` above never compiles it; this
+# vets and tests it against the current tree, e.g. that its timed store
+# still satisfies store.Store.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Long chaos soak: the full chaos suites under the race detector, including
 # the study-level heavy-profile soak (DOXMETER_CHAOS_SOAK gates it), the
-# fused-vs-reference kernel equivalence study (sequential and parallel, with
-# fault injection live), the service-mode kill/resume keystone (the §7
+# fused-vs-reference kernel equivalence check (every corpus document, then
+# whole studies sequential and parallel with fault injection live), the service-mode kill/resume keystone (the §7
 # services rebuilt from checkpoints alone, full and delta cuts), plus the
 # randomized kill/resume soak and a longer fuzz pass over the
 # network-facing parsers and checkpoint readers.

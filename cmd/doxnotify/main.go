@@ -43,7 +43,6 @@ import (
 	"time"
 
 	"doxmeter/internal/core"
-	"doxmeter/internal/faults"
 	"doxmeter/internal/feed"
 	"doxmeter/internal/notify"
 	"doxmeter/internal/stack"
@@ -69,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 
-	profile, err := faults.Preset(*faultsName, *seed+5)
+	profile, crawl, err := stack.StudyFaults(*faultsName, *seed+5)
 	if err != nil {
 		fatal(err)
 	}
@@ -99,7 +98,7 @@ func main() {
 	log := feed.NewLog()
 	fan := &stream.Fanout{Notify: notifySvc, Watchlist: wl, Feed: log}
 
-	cfg := core.StudyConfig{Seed: *seed, Scale: *scale, Faults: profile, Telemetry: hub,
+	cfg := core.StudyConfig{Seed: *seed, Scale: *scale, Faults: profile, Crawl: crawl, Telemetry: hub,
 		Stream: &core.StreamConfig{Fanout: fan}}
 	if *progress {
 		cfg.Progress = os.Stderr

@@ -43,7 +43,6 @@ import (
 
 	"doxmeter/internal/core"
 	"doxmeter/internal/experiments"
-	"doxmeter/internal/faults"
 	"doxmeter/internal/monitor"
 	"doxmeter/internal/stack"
 	"doxmeter/internal/telemetry"
@@ -69,7 +68,7 @@ func main() {
 		fatal(err)
 	}
 
-	profile, err := faults.Preset(*faultsName, *seed+5)
+	profile, crawl, err := stack.StudyFaults(*faultsName, *seed+5)
 	if err != nil {
 		fatal(err)
 	}
@@ -96,7 +95,7 @@ func main() {
 	}
 
 	start := time.Now()
-	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Parallelism: *parallelism, Progress: progressW, Faults: profile, Checkpoint: ckpt, Telemetry: hub})
+	s, err := core.NewStudy(core.StudyConfig{Seed: *seed, Scale: *scale, Parallelism: *parallelism, Progress: progressW, Faults: profile, Crawl: crawl, Checkpoint: ckpt, Telemetry: hub})
 	if err != nil {
 		fatal(err)
 	}

@@ -37,12 +37,6 @@ type Options struct {
 	// run sequentially; results are identical at any setting because each
 	// document is classified independently.
 	Parallelism int
-	// ReferenceKernel forces Score/IsDox/ScoreInto through the original
-	// Transform+Decision path instead of the fused tfidf.Scorer kernel.
-	// The two paths are bit-identical (enforced by fuzz and whole-study
-	// equivalence suites); this knob exists so those suites can run entire
-	// studies on both paths and compare outputs byte for byte.
-	ReferenceKernel bool
 }
 
 // DefaultThreshold is the decision boundary calibrated on the labeled
@@ -65,14 +59,13 @@ type Classifier struct {
 	model     *sgd.Classifier
 	threshold float64
 	minTokens int
-	reference bool
 	scorers   sync.Pool // *tfidf.Scorer scratch, one per concurrent scorer
 }
 
 // newClassifier wires the scorer pool; every construction path (Train,
 // Load) funnels through it.
-func newClassifier(vec *tfidf.Vectorizer, model *sgd.Classifier, threshold float64, minTokens int, reference bool) *Classifier {
-	c := &Classifier{vec: vec, model: model, threshold: threshold, minTokens: minTokens, reference: reference}
+func newClassifier(vec *tfidf.Vectorizer, model *sgd.Classifier, threshold float64, minTokens int) *Classifier {
+	c := &Classifier{vec: vec, model: model, threshold: threshold, minTokens: minTokens}
 	c.scorers.New = func() any { return vec.NewScorer() }
 	return c
 }
@@ -104,7 +97,7 @@ func Train(r *rand.Rand, docs []string, isDox []bool, opts Options) (*Classifier
 	if mt == 0 {
 		mt = DefaultMinTokens
 	}
-	return newClassifier(vec, model, th, mt, opts.ReferenceKernel), nil
+	return newClassifier(vec, model, th, mt), nil
 }
 
 // Result is the output of one classification pass: everything the funnel
@@ -123,17 +116,9 @@ type Result struct {
 // pooled scratch. Margins are bit-identical to the reference
 // Transform+Decision path at any concurrency.
 func (c *Classifier) ScoreInto(doc string, r *Result) {
-	if c.reference {
-		r.Score = c.ScoreReference(doc)
-		r.Tokens = len(tfidf.Tokenize(doc))
-	} else {
-		s := c.scorers.Get().(*tfidf.Scorer)
-		dot, tokens := s.DotNormalized(doc, c.model.Weights)
-		c.scorers.Put(s)
-		r.Score = c.model.DecisionFromDot(dot) - c.threshold
-		r.Tokens = tokens
-	}
-	r.IsDox = r.Score >= 0 && !(c.minTokens > 0 && r.Tokens < c.minTokens)
+	s := c.scorers.Get().(*tfidf.Scorer)
+	c.scoreIntoWith(s, doc, r)
+	c.scorers.Put(s)
 }
 
 // scoreIntoWith is ScoreInto with an explicit scorer, for batch callers
@@ -155,8 +140,9 @@ func (c *Classifier) Score(doc string) float64 {
 
 // ScoreReference computes the margin through the original sparse path —
 // tfidf.Transform into a materialized Vector, then sgd.Decision. It is the
-// reference implementation the fused kernel is verified against, kept on
-// the API so equivalence tests and ablations can always reach it.
+// reference implementation the fused kernel is verified against: the
+// equivalence tests and benchmarks call it directly, next to
+// len(tfidf.Tokenize(doc)) for the token count.
 func (c *Classifier) ScoreReference(doc string) float64 {
 	return c.model.Decision(c.vec.Transform(doc)) - c.threshold
 }
@@ -175,12 +161,6 @@ func (c *Classifier) IsDox(doc string) bool {
 func (c *Classifier) ScoreBatchInto(docs []string, out []Result, workers int) {
 	if len(out) < len(docs) {
 		panic("classifier: ScoreBatchInto out slice shorter than docs")
-	}
-	if c.reference {
-		parallel.ForEach(len(docs), workers, func(i int) {
-			c.ScoreInto(docs[i], &out[i])
-		})
-		return
 	}
 	n := parallel.Workers(len(docs), workers)
 	scorers := make([]*tfidf.Scorer, n)
@@ -320,5 +300,5 @@ func Load(r io.Reader) (*Classifier, error) {
 	model := sgd.New(len(p.Weights), p.SGDOpts)
 	model.Weights = p.Weights
 	model.Intercept = p.Intercept
-	return newClassifier(vec, model, p.Threshold, p.MinTokens, false), nil
+	return newClassifier(vec, model, p.Threshold, p.MinTokens), nil
 }

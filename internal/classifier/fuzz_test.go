@@ -83,41 +83,6 @@ func FuzzScorerEquivalence(f *testing.F) {
 	})
 }
 
-// TestReferenceKernelOption pins the ReferenceKernel escape hatch: both
-// kernels agree bit for bit through the public API, single and batch.
-func TestReferenceKernelOption(t *testing.T) {
-	exs := paperExamples(t)[:900]
-	var docs []string
-	var labels []bool
-	for _, ex := range exs {
-		docs = append(docs, ex.Body)
-		labels = append(labels, ex.IsDox)
-	}
-	fused, err := Train(rand.New(rand.NewSource(11)), docs, labels, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Train(rand.New(rand.NewSource(11)), docs, labels, Options{ReferenceKernel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ref.reference || fused.reference {
-		t.Fatal("ReferenceKernel option not wired through Train")
-	}
-	probe := docs[:300]
-	fusedRes := make([]Result, len(probe))
-	refRes := make([]Result, len(probe))
-	fused.ScoreBatchInto(probe, fusedRes, 4)
-	ref.ScoreBatchInto(probe, refRes, 4)
-	for i := range probe {
-		if math.Float64bits(fusedRes[i].Score) != math.Float64bits(refRes[i].Score) ||
-			fusedRes[i].Tokens != refRes[i].Tokens ||
-			fusedRes[i].IsDox != refRes[i].IsDox {
-			t.Fatalf("doc %d: fused %+v != reference %+v", i, fusedRes[i], refRes[i])
-		}
-	}
-}
-
 // TestScoreBatchIntoShortOut guards the out-slice length contract.
 func TestScoreBatchIntoShortOut(t *testing.T) {
 	exs := paperExamples(t)[:600]

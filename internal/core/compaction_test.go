@@ -43,7 +43,7 @@ func ckptFiles(t *testing.T, dir string) map[string][]byte {
 }
 
 // tipBytes rebuilds a state dir's newest cut from its chain and encodes it.
-func tipBytes(t *testing.T, st store.DeltaStore) []byte {
+func tipBytes(t *testing.T, st store.Store) []byte {
 	t.Helper()
 	base, deltas, err := st.LoadChain()
 	if err != nil {
@@ -125,7 +125,7 @@ func TestDeltaByteCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	full.Close()
-	snap, err := mem.LoadSnapshot()
+	snap, _, err := mem.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"io"
-	"net/http"
 	"strings"
 	"testing"
 
+	"doxmeter/internal/leakcheck"
 	"doxmeter/internal/metrics"
 	"doxmeter/internal/monitor"
 	"doxmeter/internal/netid"
@@ -274,25 +273,17 @@ func TestStudyConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestServeLocal(t *testing.T) {
-	svc, err := serveLocal(httpOK{})
+// TestNewStudyStartsNoGoroutines: a built study leaves no goroutine
+// running before Close. Its simulated services run in-process, on the
+// goroutine of whoever fetches from them.
+func TestNewStudyStartsNoGoroutines(t *testing.T) {
+	settle := leakcheck.Mark(t)
+	s, err := NewStudy(StudyConfig{Seed: 99, Scale: 0.001, ControlSample: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := httpGet(svc.BaseURL + "/anything")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp != 200 {
-		t.Fatalf("status = %d", resp)
-	}
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// After close, requests fail.
-	if _, err := httpGet(svc.BaseURL + "/anything"); err == nil {
-		t.Error("closed service still serving")
-	}
+	settle()
+	s.Close()
 }
 
 func TestStudyCloseIdempotent(t *testing.T) {
@@ -304,22 +295,6 @@ func TestStudyCloseIdempotent(t *testing.T) {
 	}
 	s2.Close()
 	s2.Close() // double close must not panic
-}
-
-// httpOK is a trivial handler for serveLocal tests.
-type httpOK struct{}
-
-func (httpOK) ServeHTTP(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) }
-
-// httpGet returns the status code for a GET, draining the body.
-func httpGet(url string) (int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode, nil
 }
 
 // TestStudyParallelMatchesSequential is the tentpole's determinism

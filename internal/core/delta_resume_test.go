@@ -238,10 +238,6 @@ func TestCheckpointModeSwitchMidChain(t *testing.T) {
 	compareStudies(t, base.s, s, base.tables, renderAnalyses(s))
 }
 
-// fullOnly hides the DeltaStore capability of a backend, leaving only
-// the base Store interface.
-type fullOnly struct{ store.Store }
-
 // TestDeltaConfigValidation pins the delta-mode config contract.
 func TestDeltaConfigValidation(t *testing.T) {
 	t.Parallel()
@@ -255,8 +251,6 @@ func TestDeltaConfigValidation(t *testing.T) {
 		name string
 		ck   *core.CheckpointConfig
 	}{
-		{"delta mode without DeltaStore", &core.CheckpointConfig{
-			Store: fullOnly{store.NewMem()}, Mode: core.CheckpointDelta}},
 		{"unknown mode", &core.CheckpointConfig{Store: store.NewMem(), Mode: "differential"}},
 		{"negative CompactEvery", &core.CheckpointConfig{Store: store.NewMem(), CompactEvery: -1}},
 	}
@@ -272,14 +266,4 @@ func TestDeltaConfigValidation(t *testing.T) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidConfig", tc.name, err)
 		}
 	}
-
-	// Full mode on a capability-hidden store still works end to end for
-	// a few days — the delta machinery must never be required.
-	cfg := resumeCfg(1, false)
-	s := newDurableStudyCkpt(t, cfg, &core.CheckpointConfig{Store: fullOnly{store.NewMem()}, EveryDays: 1})
-	s.Cfg.Progress = &stopAfter{s: s, days: 3}
-	if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {
-		t.Fatalf("full mode on plain Store: Run = %v, want ErrStopped", err)
-	}
-	s.Close()
 }

@@ -2,17 +2,18 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"sync"
 )
 
-// localTransport short-circuits HTTP requests addressed to the study's own
-// loopback services: instead of writing the request onto a TCP socket and
-// parsing it back out of the other side, it invokes the service's wrapped
-// handler (telemetry middleware and fault injector included) directly, on
-// the caller's goroutine, and adapts the recorded response. The wire path
+// localTransport carries HTTP requests addressed to the study's simulated
+// services: instead of writing the request onto a TCP socket and parsing
+// it back out of the other side, it invokes the service's wrapped handler
+// (telemetry middleware and fault injector included) directly, on the
+// caller's goroutine, and adapts the recorded response. The wire path
 // costs ~15 heap objects per request across both net/http state machines —
 // request serialization, textproto header parsing, connection-pool
 // bookkeeping — which at study scale (tens of thousands of fetches per run)
@@ -35,12 +36,10 @@ import (
 // so a stall longer than the caller's deadline ends at the deadline.
 //
 // The returned Response and its Header belong to the pooled exchange and
-// stay valid until Body.Close.
-//
-// Hosts without a registered handler fall through to the real transport,
-// so the loopback listeners stay reachable for anything else.
+// stay valid until Body.Close. A request to a host without a registered
+// handler fails; nothing goes to the network.
 type localTransport struct {
-	handlers map[string]http.Handler // keyed by URL host ("127.0.0.1:port")
+	handlers map[string]http.Handler // keyed by URL host ("pastebin.sim")
 }
 
 // errConnAborted is what a handler abort before any response bytes looks
@@ -137,7 +136,7 @@ func (x *inprocExchange) serve(h http.Handler, req *http.Request) (aborted bool)
 func (t *localTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := t.handlers[req.URL.Host]
 	if !ok {
-		return http.DefaultTransport.RoundTrip(req)
+		return nil, fmt.Errorf("core: no in-process service at host %q", req.URL.Host)
 	}
 	ctx := req.Context()
 	if err := ctx.Err(); err != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -270,18 +269,13 @@ func TestLocalTransportRoundTripAllocFree(t *testing.T) {
 	}
 }
 
-// TestLocalTransportFallsThrough: a host with no registered handler goes
-// to the real transport.
-func TestLocalTransportFallsThrough(t *testing.T) {
-	srv := httptest.NewServer(bodyHandler("from the wire"))
-	defer srv.Close()
-	defer http.DefaultTransport.(*http.Transport).CloseIdleConnections()
-	got, err := inprocFetcher(bodyHandler("in process"), 0).Get(context.Background(), srv.URL+"/x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "from the wire" {
-		t.Fatalf("body = %q, want the real server's", got)
+// TestLocalTransportUnknownHost: a request to a host with no registered
+// handler fails; nothing goes to the network.
+func TestLocalTransportUnknownHost(t *testing.T) {
+	resp, err := inprocClient(bodyHandler("in process")).Get("http://elsewhere.test/x")
+	if err == nil {
+		resp.Body.Close()
+		t.Fatalf("unregistered host answered with status %d, want an error", resp.StatusCode)
 	}
 }
 

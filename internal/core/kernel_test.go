@@ -2,40 +2,55 @@ package core
 
 import (
 	"context"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"doxmeter/internal/classifier"
+	"doxmeter/internal/crawler"
 	"doxmeter/internal/extract"
 	"doxmeter/internal/faults"
+	"doxmeter/internal/textgen"
+	"doxmeter/internal/tfidf"
 )
 
 // TestStudyKernelEquivalence is the whole-system equivalence bar for the
-// fused inference kernels: an entire study run on the fused classify AND
-// extract paths must be byte-identical to the same study forced through the
-// reference Transform+Decision classifier and the reference regex extractor
-// — across sequential and parallel execution, with fault injection live.
+// fused inference kernels, in two parts:
+//
+//   - Every document of a study's corpus, delivered as the crawlers deliver
+//     it and prepared by prepareDoc, gets the same margin and token count
+//     from the fused classifier as from ScoreReference and tfidf.Tokenize,
+//     bit for bit, and every flagged one the same extraction from the fused
+//     kernel as from extract.ExtractReference, field by field. These are
+//     all the texts a study can prepare, faults or not: the injector
+//     corrupts only JSON and HTML payloads, which then fail to parse and
+//     are retried.
+//   - Whole studies on the fused kernels at Parallelism 1 and 0
+//     (GOMAXPROCS), with fault injection live, are byte-identical.
+//
 // This is the test `make chaos` runs.
 func TestStudyKernelEquivalence(t *testing.T) {
 	if raceEnabled {
-		t.Skip("three whole studies under the race detector exceed the package time budget; `make chaos` runs this natively")
+		t.Skip("two whole studies under the race detector exceed the package time budget; `make chaos` runs this natively")
 	}
-	// Three independent studies: the reference kernel sequentially, and the
-	// fused kernel at Parallelism 1 and 0 (GOMAXPROCS). They share nothing,
-	// so they run concurrently to keep wall time near one study's cost.
-	build := func(reference bool, parallelism int) *Study {
+	build := func(parallelism int) *Study {
 		profile, err := faults.Preset("mild", 77)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Wall-clock delays never change the virtual-time results: keep
+		// the fault probabilities, shrink the clocks.
+		profile.RetryAfter = 5 * time.Millisecond
+		profile.StallFor = 5 * time.Millisecond
 		s, err := NewStudy(StudyConfig{
 			Seed:          23,
 			Scale:         0.003,
 			ControlSample: 200,
 			Parallelism:   parallelism,
 			Faults:        profile,
-			Classifier:    classifier.Options{ReferenceKernel: reference},
-			Extract:       extract.Options{ReferenceKernel: reference},
+			Crawl:         crawler.Options{Backoff: 2 * time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +58,10 @@ func TestStudyKernelEquivalence(t *testing.T) {
 		t.Cleanup(s.Close)
 		return s
 	}
-	studies := []*Study{build(true, 1), build(false, 1), build(false, 0)}
+	studies := []*Study{build(1), build(0)}
+	// Before any Run, while the corpus and classifier are only read.
+	checkCorpusKernels(t, studies[0])
+
 	errs := make([]error, len(studies))
 	var wg sync.WaitGroup
 	for i, s := range studies {
@@ -59,13 +77,46 @@ func TestStudyKernelEquivalence(t *testing.T) {
 			t.Fatalf("study %d: %v", i, err)
 		}
 	}
-	ref := studies[0]
-	for i, fused := range studies[1:] {
-		compareStudies(t, ref, fused)
-		if t.Failed() {
-			t.Fatalf("fused kernel (run %d) diverged from reference study", i+1)
+	compareStudies(t, studies[0], studies[1])
+	if t.Failed() {
+		t.Fatal("fused kernels diverged between Parallelism 1 and 0")
+	}
+}
+
+// checkCorpusKernels prepares every corpus document of s as the crawlers
+// deliver it (board posts arrive as HTML comment bodies, pastes as plain
+// text) and holds the fused kernels to the reference implementations.
+func checkCorpusKernels(t *testing.T, s *Study) {
+	t.Helper()
+	docs, flagged := 0, 0
+	for _, site := range textgen.AllSites() {
+		for _, src := range s.Corpus().Streams[site] {
+			doc := crawler.Doc{Site: string(site), ID: src.ID, Body: src.Body, HTML: site.IsBoard()}
+			pre := s.prepareDoc(&doc)
+			docs++
+			var res classifier.Result
+			s.Classifier.ScoreInto(pre.Text, &res)
+			ref := s.Classifier.ScoreReference(pre.Text)
+			if math.Float64bits(res.Score) != math.Float64bits(ref) {
+				t.Fatalf("%s/%s: fused margin %v (bits %x) != reference %v (bits %x)",
+					site, src.ID, res.Score, math.Float64bits(res.Score), ref, math.Float64bits(ref))
+			}
+			if want := len(tfidf.Tokenize(pre.Text)); res.Tokens != want {
+				t.Fatalf("%s/%s: fused token count %d != %d", site, src.ID, res.Tokens, want)
+			}
+			if !pre.IsDox {
+				continue
+			}
+			flagged++
+			if want := extract.ExtractReference(pre.Text, s.Cfg.Extract); !reflect.DeepEqual(pre.Extraction, want) {
+				t.Fatalf("%s/%s: fused extraction diverged:\n%+v\nreference:\n%+v", site, src.ID, pre.Extraction, want)
+			}
 		}
 	}
+	if flagged == 0 {
+		t.Fatalf("none of %d corpus documents flagged; the extraction check compared nothing", docs)
+	}
+	t.Logf("%d corpus documents, %d flagged", docs, flagged)
 }
 
 // compareStudies asserts every externally visible study output matches.
@@ -96,15 +147,8 @@ func compareStudies(t *testing.T, a, b *Study) {
 		}
 		// The extractions themselves must agree field by field, not just
 		// through their dedup keys.
-		xe, ye := x.Extraction, y.Extraction
-		if xe.AccountSetKey() != ye.AccountSetKey() ||
-			xe.FirstName != ye.FirstName || xe.LastName != ye.LastName ||
-			xe.Age != ye.Age ||
-			len(xe.Phones) != len(ye.Phones) || len(xe.Emails) != len(ye.Emails) ||
-			len(xe.IPs) != len(ye.IPs) ||
-			len(xe.CreditAliases) != len(ye.CreditAliases) ||
-			len(xe.CreditHandles) != len(ye.CreditHandles) {
-			t.Fatalf("dox %d extraction diverged:\n%+v\nvs\n%+v", i, xe, ye)
+		if !reflect.DeepEqual(x.Extraction, y.Extraction) {
+			t.Fatalf("dox %d extraction diverged:\n%+v\nvs\n%+v", i, x.Extraction, y.Extraction)
 		}
 	}
 	if a.Deduper.Stats() != b.Deduper.Stats() {

@@ -627,7 +627,7 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 	}
 	s.Close()
 
-	snap, err := mem.LoadSnapshot()
+	snap, _, err := mem.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,11 +662,11 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 // TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor
 // lies outside [0, the snapshot's virtual time], whose monitor holds an
 // observation with a status osn does not define, whose feed's event seqs
-// skip or start below 1, or whose notification registry holds a negative
-// counter must make Resume fail, whether the bad value sits in a full
-// snapshot or in the tip of a delta chain. Before the check, a cursor of
-// 2^40 resumed and silently stopped collection, and a feed seq gap
-// replayed old events to a consumer as new ones.
+// skip or start below 1, or whose funnel, dedup or notification registry
+// holds a negative counter must make Resume fail, whether the bad value
+// sits in a full snapshot or in the tip of a delta chain. Before the
+// check, a cursor of 2^40 resumed and silently stopped collection, and a
+// feed seq gap replayed old events to a consumer as new ones.
 func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	t.Parallel()
 	setCursor := func(c float64) func(map[string]any) int {
@@ -725,10 +725,44 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	setCounter := func(key string) func(map[string]any) int {
 		return func(v map[string]any) int { v[key] = -1.0; return 1 }
 	}
+	// setEntries sets every entry of the counter map or array under key
+	// to -1; setEntry adds (or overwrites) one map entry.
+	setEntries := func(key string) func(map[string]any) int {
+		return func(v map[string]any) int {
+			switch c := v[key].(type) {
+			case map[string]any:
+				for k := range c {
+					c[k] = -1.0
+				}
+				return len(c)
+			case []any:
+				for i := range c {
+					c[i] = -1.0
+				}
+				return len(c)
+			}
+			return 0
+		}
+	}
+	setEntry := func(key, entry string) func(map[string]any) int {
+		return func(v map[string]any) int {
+			v[key] = map[string]any{entry: -1.0}
+			return 1
+		}
+	}
+	setStat := func(key string) func(map[string]any) int {
+		return func(v map[string]any) int {
+			v["stats"].(map[string]any)[key] = -1.0
+			return 1
+		}
+	}
+	// onDox stops the run on a day that commits a unique dox: only such a
+	// day changes the services and the dedup counters, so only then does
+	// the tip delta carry them.
 	tampers := []struct {
 		name, comp string
 		edit       func(map[string]any) int
-		service    bool
+		onDox      bool
 	}{
 		{"negative-cursor", "crawler/pastebin", setCursor(-1), false},
 		{"future-cursor", "crawler/pastebin", setCursor(1 << 40), false},
@@ -739,6 +773,15 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 		{"notify-negative-ingested", "service/notify", setCounter("ingested"), true},
 		{"notify-negative-notified", "service/notify", setCounter("notified"), true},
 		{"notify-negative-dropped", "service/notify", setCounter("dropped"), true},
+		{"core-negative-collected", "core", setCounter("collected"), false},
+		{"core-negative-collected-by-site", "core", setEntries("collected_by_site"), false},
+		{"core-negative-flagged", "core", setEntries("flagged_by_period"), false},
+		{"core-negative-poll-failures", "core", setEntry("poll_failures", "pastebin"), false},
+		{"core-negative-monitor-failures", "core", setCounter("monitor_failures"), false},
+		{"core-negative-days-done", "core", setCounter("days_done"), false},
+		{"dedup-negative-unique", "dedup", setStat("Unique"), true},
+		{"dedup-negative-exact-dups", "dedup", setStat("ExactDups"), true},
+		{"dedup-negative-account-dups", "dedup", setStat("AccntDups"), true},
 	}
 	for _, mode := range []core.CheckpointMode{core.CheckpointFull, core.CheckpointDelta} {
 		for _, tc := range tampers {
@@ -746,16 +789,16 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 			t.Run(string(mode)+"/"+tc.name, func(t *testing.T) {
 				t.Parallel()
 				cfg := resumeCfg
-				if tc.service {
+				if strings.HasPrefix(tc.comp, "service/") {
 					cfg = streamCfg
 				}
 				mem := store.NewMem()
 				ck := &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: mode, CompactEvery: 20}
 				s := newDurableStudyCkpt(t, cfg(1, false), ck)
 				s.Cfg.Progress = &stopAfter{s: s, days: 8}
-				if tc.service {
-					// The services change only on days that commit a
-					// unique dox; stop on one, past the first.
+				if tc.onDox {
+					// Stop on a day that commits a unique dox, past the
+					// first.
 					s.Cfg.Progress = &stopOnDox{s: s, min: 2}
 				}
 				if err := s.Run(context.Background()); !errors.Is(err, core.ErrStopped) {

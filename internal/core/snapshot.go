@@ -238,6 +238,9 @@ func (s *Study) restoreCoreState(cs coreState) error {
 	if err != nil || len(digest) != len(s.runDigest) {
 		return fmt.Errorf("core: restore: bad run digest %q", cs.RunDigest)
 	}
+	if err := cs.checkCounters(); err != nil {
+		return err
+	}
 	doxes := make([]*DoxRecord, 0, len(cs.Doxes))
 	for _, ds := range cs.Doxes {
 		ex := &extract.Extraction{
@@ -285,6 +288,39 @@ func (s *Study) restoreCoreState(cs coreState) error {
 		}
 	}
 	s.Doxes = doxes
+	return nil
+}
+
+// checkCounters rejects a negative funnel counter: every one counts
+// events since the study began.
+func (cs *coreState) checkCounters() error {
+	bad := func(field string, v int) error {
+		return fmt.Errorf("core: restore: negative %s %d", field, v)
+	}
+	if cs.Collected < 0 {
+		return bad("collected", cs.Collected)
+	}
+	for site, n := range cs.CollectedBySite {
+		if n < 0 {
+			return bad("collected_by_site["+site+"]", n)
+		}
+	}
+	for i, n := range cs.Flagged {
+		if n < 0 {
+			return bad(fmt.Sprintf("flagged_by_period[%d]", i), n)
+		}
+	}
+	for src, n := range cs.PollFailures {
+		if n < 0 {
+			return bad("poll_failures["+src+"]", n)
+		}
+	}
+	if cs.MonitorFailures < 0 {
+		return bad("monitor_failures", cs.MonitorFailures)
+	}
+	if cs.DaysDone < 0 {
+		return bad("days_done", cs.DaysDone)
+	}
 	return nil
 }
 
@@ -383,19 +419,13 @@ func (s *Study) Resume() (ResumeInfo, error) {
 		return ResumeInfo{}, errors.New("core: Resume requires StudyConfig.Checkpoint")
 	}
 	start := time.Now()
-	var snap, base *store.Snapshot
-	var deltas []*store.Delta
-	var err error
-	if ds, ok := ck.Store.(store.DeltaStore); ok {
-		// Replay full-snapshot + delta chain. A dir written in full mode
-		// simply yields an empty chain; a dir written in delta mode
-		// resumed by a full-mode study still reconstructs the tip.
-		base, deltas, err = ds.LoadChain()
-		if err == nil {
-			snap, err = ApplyDeltaChain(base, deltas)
-		}
-	} else {
-		snap, err = ck.Store.LoadSnapshot()
+	// Replay full-snapshot + delta chain. A dir written in full mode
+	// simply yields an empty chain; a dir written in delta mode resumed
+	// by a full-mode study still reconstructs the tip.
+	base, deltas, err := ck.Store.LoadChain()
+	var snap *store.Snapshot
+	if err == nil {
+		snap, err = ApplyDeltaChain(base, deltas)
 	}
 	if errors.Is(err, store.ErrNoSnapshot) {
 		return ResumeInfo{}, nil
@@ -515,9 +545,7 @@ func (s *Study) writeCheckpoint(periodNo, day int) error {
 	ck := s.ckpt()
 	s.ckptSeq++
 	if s.deltaMode && s.haveBase && !s.compactionDue(ck) {
-		if ds, ok := ck.Store.(store.DeltaStore); ok {
-			return s.writeDeltaCheckpoint(ds, periodNo, day)
-		}
+		return s.writeDeltaCheckpoint(ck.Store, periodNo, day)
 	}
 	if s.deltaMode {
 		// The full image covers every journaled mutation, so the next
@@ -555,13 +583,13 @@ func (s *Study) writeCheckpoint(periodNo, day int) error {
 
 // writeDeltaCheckpoint persists one incremental cut: a diff against the
 // previous cut (full or delta), draining every provider journal.
-func (s *Study) writeDeltaCheckpoint(ds store.DeltaStore, periodNo, day int) error {
+func (s *Study) writeDeltaCheckpoint(st store.Store, periodNo, day int) error {
 	d, err := s.buildDelta(periodNo, day)
 	if err != nil {
 		return err
 	}
 	start := time.Now()
-	n, err := ds.SaveDelta(d)
+	n, err := st.SaveDelta(d)
 	if err != nil {
 		return fmt.Errorf("core: delta checkpoint: %w", err)
 	}
@@ -571,7 +599,7 @@ func (s *Study) writeDeltaCheckpoint(ds store.DeltaStore, periodNo, day int) err
 	s.deltaBytes += n
 	s.m.chainLength.Set(float64(s.cutsSinceFull))
 	s.CheckpointsWritten++
-	return ds.AppendEntry(store.Entry{
+	return st.AppendEntry(store.Entry{
 		Kind: store.KindDelta, Seq: s.ckptSeq, Base: d.BaseSeq, Period: periodNo, Day: day,
 		VTime: s.Clock.Now(), Digest: s.runDigestHex(), Bytes: n,
 	})

@@ -55,10 +55,9 @@ type StudyConfig struct {
 	ControlSample int
 	// Classifier overrides; zero value reproduces the paper's setup.
 	Classifier classifier.Options
-	// Extract configures the per-document account extractor. The zero value
-	// runs the fused single-pass kernel; ReferenceKernel forces the original
-	// regex extractor (the equivalence oracle — results are bit-identical
-	// either way, enforced by TestStudyKernelEquivalence).
+	// Extract configures the per-document account extractor, which runs
+	// the fused single-pass kernel (bit-identical to the regex reference
+	// extractor on every document, enforced by TestStudyKernelEquivalence).
 	Extract extract.Options
 	// LabelSample is how many flagged doxes the analyst labels; 0 uses
 	// the paper's 464 (capped at the number available).
@@ -123,7 +122,6 @@ const (
 	// CheckpointDelta writes a full snapshot only at the chain anchors
 	// (the first cut, then each compaction CheckpointConfig.CompactEvery
 	// calls for) and a compact diff against the previous cut in between.
-	// Requires a backend implementing store.DeltaStore.
 	CheckpointDelta CheckpointMode = "delta"
 )
 
@@ -197,11 +195,7 @@ func (c StudyConfig) Validate() error {
 			return bad("Checkpoint.CompactEvery", ck.CompactEvery)
 		}
 		switch ck.Mode {
-		case "", CheckpointFull:
-		case CheckpointDelta:
-			if _, ok := ck.Store.(store.DeltaStore); !ok {
-				return fmt.Errorf("%w: Checkpoint.Mode = delta requires a store implementing store.DeltaStore", ErrInvalidConfig)
-			}
+		case "", CheckpointFull, CheckpointDelta:
 		default:
 			return bad("Checkpoint.Mode", ck.Mode)
 		}
@@ -286,7 +280,6 @@ type Study struct {
 	Deduper    *dedup.Deduper
 	Monitor    *monitor.Monitor
 
-	services []*service
 	crawlers struct {
 		pastebin *crawler.Pastebin
 		boards   []*crawler.Board
@@ -331,7 +324,6 @@ type Study struct {
 	CollectedBySite map[string]int
 	FlaggedByPeriod [3]int // index 1 and 2
 	Doxes           []*DoxRecord
-	osnBaseURL      string
 	pastebinP1Docs  []crawler.Doc   // period-1 pastebin docs for Table 3
 	flaggedP1       map[string]bool // period-1 pastebin IDs flagged as dox
 	corpus          *textgen.Corpus
@@ -386,7 +378,7 @@ func (s *Study) RequestStop() { s.stopReq.Store(true) }
 func (s *Study) Corpus() *textgen.Corpus { return s.corpus }
 
 // NewStudy builds the world, trains the classifier (recording its Table 1
-// evaluation), and stands up the simulated services.
+// evaluation), and stands up the simulated services in-process.
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -482,8 +474,8 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		}
 	}
 
-	// Serve everything over loopback HTTP, optionally behind per-service
-	// fault injectors. Each injector derives an independent seed from the
+	// Stand up the simulated services, optionally behind per-service fault
+	// injectors. Each injector derives an independent seed from the
 	// study-level profile so fault streams don't correlate across sites.
 	// The HTTP metrics middleware sits outermost so per-route counters see
 	// exactly what the crawlers see, injected faults included.
@@ -501,47 +493,36 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		}
 		return telemetry.HTTPMetrics(reg, name, routeOf, h)
 	}
-	pbSvc, err := serveLocal(wrap("pastebin", s.Pastebin.Handler()))
-	if err != nil {
-		return nil, err
+	// The services run in-process: the crawlers and the monitor reach each
+	// wrapped handler through localTransport under a fixed host name, and
+	// no port is bound (doxsites serves the same handlers over HTTP).
+	// Fault keys are path and query, so no result depends on the host.
+	lt := &localTransport{handlers: make(map[string]http.Handler, 4)}
+	mount := func(name string, h http.Handler) (baseURL string) {
+		host := name + ".sim"
+		lt.handlers[host] = wrap(name, h)
+		return "http://" + host
 	}
-	fourSvc, err := serveLocal(wrap("fourchan", s.Fourchan.Handler()))
-	if err != nil {
-		return nil, err
-	}
-	eightSvc, err := serveLocal(wrap("eightch", s.Eightch.Handler()))
-	if err != nil {
-		return nil, err
-	}
-	osnSvc, err := serveLocal(wrap("osn", s.Universe.Handler()))
-	if err != nil {
-		return nil, err
-	}
-	s.services = []*service{pbSvc, fourSvc, eightSvc, osnSvc}
-	s.osnBaseURL = osnSvc.BaseURL
-
-	// The study's own crawlers and monitor dispatch to the service handlers
-	// in-process; the loopback listeners stay up for external consumers.
-	lt := &localTransport{handlers: make(map[string]http.Handler, len(s.services))}
-	for _, svc := range s.services {
-		lt.handlers[svc.host] = svc.handler
-	}
+	pbURL := mount("pastebin", s.Pastebin.Handler())
+	fourURL := mount("fourchan", s.Fourchan.Handler())
+	eightURL := mount("eightch", s.Eightch.Handler())
+	osnURL := mount("osn", s.Universe.Handler())
 	opts := cfg.Crawl
 	opts.Client = &http.Client{Transport: lt}
 	opts.Concurrency = cfg.Parallelism
 	opts.Telemetry = reg // site label defaults per constructor
-	s.crawlers.pastebin = crawler.NewPastebin(pbSvc.BaseURL, opts)
+	s.crawlers.pastebin = crawler.NewPastebin(pbURL, opts)
 	s.crawlers.boards = []*crawler.Board{
-		crawler.NewBoard(fourSvc.BaseURL, "b", "4chan/b", opts),
-		crawler.NewBoard(fourSvc.BaseURL, "pol", "4chan/pol", opts),
-		crawler.NewBoard(eightSvc.BaseURL, "pol", "8ch/pol", opts),
-		crawler.NewBoard(eightSvc.BaseURL, "baphomet", "8ch/baphomet", opts),
+		crawler.NewBoard(fourURL, "b", "4chan/b", opts),
+		crawler.NewBoard(fourURL, "pol", "4chan/pol", opts),
+		crawler.NewBoard(eightURL, "pol", "8ch/pol", opts),
+		crawler.NewBoard(eightURL, "baphomet", "8ch/baphomet", opts),
 	}
 	mopts := opts
 	mopts.TelemetrySite = "monitor"
 	s.Monitor = monitor.New(monitor.Config{
 		Clock:       s.Clock,
-		BaseURL:     osnSvc.BaseURL,
+		BaseURL:     osnURL,
 		EndAt:       simclock.Period2.End,
 		Fetch:       &mopts,
 		Parallelism: cfg.Parallelism,
@@ -588,12 +569,9 @@ func (s *Study) FaultCounters() faults.Counters {
 	return agg
 }
 
-// Close shuts down the simulated services. Idempotent.
-func (s *Study) Close() {
-	for _, svc := range s.services {
-		_ = svc.Close()
-	}
-}
+// Close releases the study. Its simulated services run in-process and
+// hold nothing, so Close is a no-op kept for callers that defer it.
+func (s *Study) Close() {}
 
 // Run executes the full two-period study. After Resume it continues from
 // the restored day boundary instead of the beginning.
@@ -874,19 +852,14 @@ func (s *Study) PrepareBatch(docs []crawler.Doc, workers int) []Prepared {
 		runtime.ReadMemStats(&m1)
 		s.m.classifyAllocs.Set(float64(m1.Mallocs-m0.Mallocs) / float64(len(docs)))
 		// Extract allocation probe: re-run the batch's first flagged
-		// document through a study-held kernel and scratch record. The
-		// fused path holds this at zero once scratch is warm; the
-		// reference path reports its true per-document cost.
+		// document through a study-held kernel and scratch record, which
+		// holds this at zero once scratch is warm.
 		for i := range out {
 			if !out[i].IsDox {
 				continue
 			}
 			runtime.ReadMemStats(&m0)
-			if s.Cfg.Extract.ReferenceKernel {
-				_ = extract.ExtractWith(out[i].Text, s.Cfg.Extract)
-			} else {
-				s.probeKernel.ExtractInto(out[i].Text, &s.probeExt, s.Cfg.Extract)
-			}
+			s.probeKernel.ExtractInto(out[i].Text, &s.probeExt, s.Cfg.Extract)
 			runtime.ReadMemStats(&m1)
 			s.m.extractAllocs.Set(float64(m1.Mallocs - m0.Mallocs))
 			break

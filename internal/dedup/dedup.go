@@ -250,7 +250,11 @@ func (d *Deduper) Snapshot() State {
 }
 
 // Restore replaces the Deduper's state with a snapshot taken by Snapshot.
+// Negative verdict counters are rejected.
 func (d *Deduper) Restore(st State) error {
+	if st.Stats.Unique < 0 || st.Stats.ExactDups < 0 || st.Stats.AccntDups < 0 {
+		return fmt.Errorf("dedup: restore: negative counter in %+v", st.Stats)
+	}
 	bodies := make(map[[32]byte]string, len(st.Bodies))
 	for hs, id := range st.Bodies {
 		raw, err := hex.DecodeString(hs)

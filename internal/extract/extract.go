@@ -168,28 +168,16 @@ type Options struct {
 	// the reference extractor is conservative (guessing pollutes the
 	// §3.1.4 account-set de-duplication identity).
 	Greedy bool
-
-	// ReferenceKernel forces the regex-based reference extractor instead of
-	// the fused kernel. The two are bit-identical on every input (enforced
-	// by differential fuzzing and the whole-study equivalence run in `make
-	// chaos`); the switch exists as the equivalence oracle and an escape
-	// hatch, mirroring classifier.Options.ReferenceKernel.
-	ReferenceKernel bool
 }
 
 // Extract runs the full extractor over plain text (convert HTML first).
-// It rides the fused kernel (see kernel.go) drawn from a package pool;
-// ExtractWith with ReferenceKernel selects the regex reference path.
+// It rides the fused kernel (see kernel.go) drawn from a package pool.
 func Extract(text string) *Extraction {
 	return ExtractWith(text, Options{})
 }
 
-// ExtractWith runs the extractor with explicit options, routing to the
-// fused kernel unless opts.ReferenceKernel is set.
+// ExtractWith runs the fused kernel with explicit options.
 func ExtractWith(text string, opts Options) *Extraction {
-	if opts.ReferenceKernel {
-		return extractReference(text, opts)
-	}
 	k := kernelPool.Get().(*Kernel)
 	e := &Extraction{}
 	k.ExtractInto(text, e, opts)
@@ -197,12 +185,13 @@ func ExtractWith(text string, opts Options) *Extraction {
 	return e
 }
 
-// extractReference is the regex-based reference extractor: the text is
+// ExtractReference is the regex-based reference extractor: the text is
 // case-folded once up front; every case-insensitive regex is then gated
 // behind a cheap substring probe of that shared lowered copy, so a
 // document that never mentions facebook.com never pays for the Facebook
-// regex — the dominant cost on the benign 99.7% of the crawl.
-func extractReference(text string, opts Options) *Extraction {
+// regex. It is the oracle the fused kernel is verified against, and the
+// kernel's own fallback for text whose case fold changes byte widths.
+func ExtractReference(text string, opts Options) *Extraction {
 	e := &Extraction{Accounts: make(map[netid.Network]string)}
 	lower := foldLower(text)
 	extractURLs(text, lower, e)

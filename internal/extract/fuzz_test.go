@@ -67,7 +67,7 @@ func FuzzExtractKernelEquivalence(f *testing.F) {
 		k := NewKernel()
 		for _, greedy := range []bool{false, true} {
 			opts := Options{Greedy: greedy}
-			ref := extractReference(s, opts)
+			ref := ExtractReference(s, opts)
 			var fused Extraction
 			k.ExtractInto(s, &fused, opts)
 			if field, ok := equalExtractions(ref, &fused); !ok {

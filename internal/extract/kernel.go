@@ -7,7 +7,7 @@
 // to small hand-rolled matchers that replicate each reference regex's
 // leftmost-first semantics exactly on the hit's neighborhood.
 //
-// Equivalence contract with the regex reference path (extractReference):
+// Equivalence contract with the regex reference path (ExtractReference):
 //
 //   - The fold buffer is foldLower(text) built once into reusable scratch
 //     with an ASCII fast path. The kernel only proceeds when every rune
@@ -27,8 +27,9 @@
 //     matching what regexp submatches return.
 //
 // Equivalence is enforced by bitwise table tests per matcher, a
-// differential fuzz target (FuzzExtractKernelEquivalence), and a
-// whole-study fused-vs-reference run in `make chaos`.
+// differential fuzz target (FuzzExtractKernelEquivalence), and a check of
+// every flagged document of a study corpus against ExtractReference
+// (TestStudyKernelEquivalence in internal/core).
 //
 // A Kernel owns reusable scratch and is NOT safe for concurrent use; hand
 // one to each worker (internal/core pins one per PrepareBatch worker) or
@@ -164,14 +165,14 @@ var kernelPool = sync.Pool{New: func() any { return NewKernel() }}
 // ExtractInto runs the fused extractor over text, filling e in place (its
 // map and slices are reused across calls, so steady-state extraction of a
 // recurring document shape allocates nothing). The result is bit-identical
-// to extractReference — see the package comment's equivalence contract.
+// to ExtractReference — see the package comment's equivalence contract.
 func (k *Kernel) ExtractInto(text string, e *Extraction, opts Options) {
 	resetExtraction(e)
 	if !k.foldScan(text) {
 		// Width-changing fold (long s, Kelvin, dotted İ, invalid UTF-8):
 		// folded offsets no longer align with the original bytes, so run
 		// the reference path instead of reasoning about remapped spans.
-		*e = *extractReference(text, opts)
+		*e = *ExtractReference(text, opts)
 		return
 	}
 	k.scanURLs(text, e)

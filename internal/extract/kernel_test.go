@@ -57,7 +57,7 @@ func checkEquivalence(t *testing.T, text string) {
 	t.Helper()
 	k := NewKernel()
 	for _, greedy := range []bool{false, true} {
-		ref := extractReference(text, Options{Greedy: greedy})
+		ref := ExtractReference(text, Options{Greedy: greedy})
 		var fused Extraction
 		k.ExtractInto(text, &fused, Options{Greedy: greedy})
 		if field, ok := equalExtractions(ref, &fused); !ok {

@@ -447,25 +447,3 @@ func (c *Codec) EncodeDelta(d *Delta) ([]byte, error) {
 	}
 	return c.buf.Bytes(), nil
 }
-
-// DeltaStore is the optional capability a Store may implement to persist
-// incremental checkpoints. Both shipped backends (Mem, File) implement
-// it; a Store that does not cannot be used with the study's delta
-// checkpoint mode.
-type DeltaStore interface {
-	Store
-
-	// SaveDelta durably stores one delta cut, returning the encoded size
-	// in bytes. Deltas are never pruned by this call; retention is
-	// anchored to full snapshots (see SaveSnapshot).
-	SaveDelta(d *Delta) (int, error)
-
-	// LoadChain returns the newest decodable full snapshot plus the
-	// contiguous run of deltas extending it (possibly empty), newest
-	// chain first truncated at the first gap, undecodable file, or
-	// base-sequence mismatch — a torn chain tip costs at most re-running
-	// the days since the last decodable cut. ErrNoSnapshot when the
-	// store holds no full snapshot; ErrVersionSkew (terminal) when a
-	// snapshot or chain delta was written by a different codec version.
-	LoadChain() (*Snapshot, []*Delta, error)
-}

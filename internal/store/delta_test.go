@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// Compile-time capability checks: both shipped backends speak deltas.
+// Compile-time checks: both shipped backends implement Store.
 var (
-	_ DeltaStore = (*Mem)(nil)
-	_ DeltaStore = (*File)(nil)
+	_ Store = (*Mem)(nil)
+	_ Store = (*File)(nil)
 )
 
 func testDelta(seq uint64) *Delta {
@@ -119,7 +119,7 @@ func TestDecodeDeltaRejectsSkewAndGarbage(t *testing.T) {
 // chainStore builds full snapshot seq 1, deltas 2..4, full 5, deltas
 // 6..7 in st — the shape a delta-mode study with CompactEvery≈4 leaves
 // behind.
-func chainStore(t *testing.T, st DeltaStore) {
+func chainStore(t *testing.T, st Store) {
 	t.Helper()
 	if _, err := st.SaveSnapshot(testSnapshot(1)); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func chainStore(t *testing.T, st DeltaStore) {
 	}
 }
 
-func checkChain(t *testing.T, st DeltaStore, wantBase uint64, wantDeltas ...uint64) {
+func checkChain(t *testing.T, st Store, wantBase uint64, wantDeltas ...uint64) {
 	t.Helper()
 	snap, chain, err := st.LoadChain()
 	if err != nil {
@@ -163,7 +163,7 @@ func checkChain(t *testing.T, st DeltaStore, wantBase uint64, wantDeltas ...uint
 }
 
 func TestLoadChainWalksNewestFull(t *testing.T) {
-	for _, st := range []DeltaStore{NewMem(), mustOpenFile(t)} {
+	for _, st := range []Store{NewMem(), mustOpenFile(t)} {
 		chainStore(t, st)
 		checkChain(t, st, 5, 6, 7)
 	}
@@ -180,7 +180,7 @@ func mustOpenFile(t *testing.T) *File {
 }
 
 func TestLoadChainEmptyStore(t *testing.T) {
-	for _, st := range []DeltaStore{NewMem(), mustOpenFile(t)} {
+	for _, st := range []Store{NewMem(), mustOpenFile(t)} {
 		if _, _, err := st.LoadChain(); !errors.Is(err, ErrNoSnapshot) {
 			t.Fatalf("empty store: got %v, want ErrNoSnapshot", err)
 		}
@@ -242,7 +242,7 @@ func TestFileLoadChainSkewedDeltaTerminal(t *testing.T) {
 func TestDeltaRetentionAnchoredToFulls(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		st   DeltaStore
+		st   Store
 	}{{"mem", NewMem()}, {"file", mustOpenFile(t)}} {
 		t.Run(tc.name, func(t *testing.T) {
 			chainStore(t, tc.st)

@@ -172,7 +172,7 @@ func (f *File) SaveSnapshot(snap *Snapshot) (int, error) {
 	return n, nil
 }
 
-// SaveDelta implements DeltaStore. The delta file is published with the
+// SaveDelta implements Store. The delta file is published with the
 // same temp + fsync + rename + dir-fsync discipline as full snapshots;
 // retention stays anchored to full snapshots, so this never prunes.
 func (f *File) SaveDelta(d *Delta) (int, error) {
@@ -226,26 +226,14 @@ func (f *File) pruneLocked() {
 	}
 }
 
-// LoadSnapshot implements Store. It walks snapshots newest-first and
-// returns the first that decodes; a corrupt or truncated newest file
-// falls back to its predecessor, but a version-skewed snapshot aborts
-// the walk — silently resuming from an older-format predecessor would
-// hide the skew from the operator.
-func (f *File) LoadSnapshot() (*Snapshot, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	snap, _, err := f.loadChainLocked(false)
-	return snap, err
-}
-
-// LoadChain implements DeltaStore.
+// LoadChain implements Store. It walks snapshots newest-first and
+// anchors the chain on the first that decodes; a corrupt or truncated
+// newest file falls back to its predecessor, but a version-skewed
+// snapshot aborts the walk — silently resuming from an older-format
+// predecessor would hide the skew from the operator.
 func (f *File) LoadChain() (*Snapshot, []*Delta, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.loadChainLocked(true)
-}
-
-func (f *File) loadChainLocked(withDeltas bool) (*Snapshot, []*Delta, error) {
 	seqs, err := f.snapshotSeqs()
 	if err != nil {
 		return nil, nil, err
@@ -262,9 +250,6 @@ func (f *File) loadChainLocked(withDeltas bool) (*Snapshot, []*Delta, error) {
 			}
 			lastErr = err
 			continue
-		}
-		if !withDeltas {
-			return snap, nil, nil
 		}
 		chain, err := f.readDeltaChain(snap.Seq)
 		if err != nil {

@@ -59,7 +59,7 @@ func (m *Mem) SaveSnapshot(snap *Snapshot) (int, error) {
 	return len(cp), nil
 }
 
-// SaveDelta implements DeltaStore.
+// SaveDelta implements Store.
 func (m *Mem) SaveDelta(d *Delta) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -73,17 +73,7 @@ func (m *Mem) SaveDelta(d *Delta) (int, error) {
 	return len(cp), nil
 }
 
-// LoadSnapshot implements Store.
-func (m *Mem) LoadSnapshot() (*Snapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.snaps) == 0 {
-		return nil, ErrNoSnapshot
-	}
-	return Decode(m.snaps[len(m.snaps)-1].b)
-}
-
-// LoadChain implements DeltaStore, with the same chain-walk semantics as
+// LoadChain implements Store, with the same chain-walk semantics as
 // the file backend: newest decodable full, then contiguous linked deltas
 // until the first gap or mislink.
 func (m *Mem) LoadChain() (*Snapshot, []*Delta, error) {

@@ -1,10 +1,12 @@
 // Package store is the pluggable persistence layer behind durable studies.
 //
-// A Store holds two things for a running study:
+// A Store holds three things for a running study:
 //
 //   - Snapshots: full, versioned images of every stateful pipeline
 //     component (crawler cursors and seen sets, dedup indexes, monitor
 //     histories, core funnel state), written at study-day boundaries.
+//   - Deltas: incremental cuts, each a diff against the cut before it,
+//     chained onto the newest full snapshot.
 //   - An append-only commit log of small Entry records (one per study
 //     day plus run lifecycle events), carrying a rolling digest of the
 //     committed document stream so a resumed run can be cross-checked
@@ -37,7 +39,7 @@ const (
 )
 
 var (
-	// ErrNoSnapshot is returned by LoadSnapshot when the store holds no
+	// ErrNoSnapshot is returned by LoadChain when the store holds no
 	// decodable snapshot (a fresh state dir, or an empty Mem store).
 	ErrNoSnapshot = errors.New("store: no snapshot available")
 	// ErrVersionSkew is returned when a snapshot was written by a
@@ -104,13 +106,23 @@ type Entry struct {
 // they are not required to support concurrent writers.
 type Store interface {
 	// SaveSnapshot encodes and durably stores snap, returning the
-	// encoded size in bytes. Older snapshots may be pruned.
+	// encoded size in bytes. Older snapshots may be pruned, together with
+	// the deltas only they anchor.
 	SaveSnapshot(snap *Snapshot) (int, error)
-	// LoadSnapshot returns the most recent decodable snapshot, or
-	// ErrNoSnapshot if none exists. A latest-but-corrupt snapshot falls
-	// back to the previous one; a version-skewed snapshot is terminal
-	// and surfaces ErrVersionSkew.
-	LoadSnapshot() (*Snapshot, error)
+	// SaveDelta durably stores one delta cut, returning the encoded size
+	// in bytes. Deltas are never pruned by this call; retention is
+	// anchored to full snapshots (see SaveSnapshot).
+	SaveDelta(d *Delta) (int, error)
+	// LoadChain returns the newest decodable full snapshot plus the
+	// contiguous run of deltas extending it (empty for a store written
+	// in full mode), truncated at the first gap, undecodable file, or
+	// base-sequence mismatch — a torn chain tip costs at most re-running
+	// the days since the last decodable cut. A latest-but-corrupt full
+	// falls back to the previous one. ErrNoSnapshot when the store holds
+	// no full snapshot; ErrVersionSkew (terminal, never a silent
+	// fallback) when a snapshot or chain delta was written by a different
+	// codec version.
+	LoadChain() (*Snapshot, []*Delta, error)
 	// AppendEntry appends one record to the commit log.
 	AppendEntry(e Entry) error
 	// Entries returns the readable prefix of the commit log. A torn

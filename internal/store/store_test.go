@@ -76,7 +76,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 
 func TestMemStore(t *testing.T) {
 	m := NewMem()
-	if _, err := m.LoadSnapshot(); !errors.Is(err, ErrNoSnapshot) {
+	if _, _, err := m.LoadChain(); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("empty store: got %v, want ErrNoSnapshot", err)
 	}
 	for seq := uint64(1); seq <= 3; seq++ {
@@ -84,12 +84,12 @@ func TestMemStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := m.LoadSnapshot()
+	got, chain, err := m.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 3 {
-		t.Fatalf("latest seq = %d, want 3", got.Seq)
+	if got.Seq != 3 || len(chain) != 0 {
+		t.Fatalf("latest seq = %d with %d deltas, want 3 with none", got.Seq, len(chain))
 	}
 	if err := m.AppendEntry(Entry{Kind: "day", Period: 1, Day: 0}); err != nil {
 		t.Fatal(err)
@@ -116,12 +116,12 @@ func TestFileStoreRoundTripAndPrune(t *testing.T) {
 			t.Fatalf("snapshot size = %d", n)
 		}
 	}
-	got, err := f.LoadSnapshot()
+	got, chain, err := f.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Seq != 4 {
-		t.Fatalf("latest seq = %d, want 4", got.Seq)
+	if got.Seq != 4 || len(chain) != 0 {
+		t.Fatalf("latest seq = %d with %d deltas, want 4 with none", got.Seq, len(chain))
 	}
 	seqs, err := f.snapshotSeqs()
 	if err != nil {
@@ -149,7 +149,7 @@ func TestFileStoreFallsBackPastCorruptLatest(t *testing.T) {
 	if err := os.WriteFile(latest, []byte(Magic+" v1\n{\"trunc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.LoadSnapshot()
+	got, _, err := f.LoadChain()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestFileStoreVersionSkewIsTerminal(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, snapshotName(2)), skewed, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.LoadSnapshot(); !errors.Is(err, ErrVersionSkew) {
+	if _, _, err := f.LoadChain(); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("got %v, want ErrVersionSkew (no silent fallback across versions)", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestFileStoreEmptyDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.LoadSnapshot(); !errors.Is(err, ErrNoSnapshot) {
+	if _, _, err := f.LoadChain(); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("got %v, want ErrNoSnapshot", err)
 	}
 	es, err := f.Entries()

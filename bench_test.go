@@ -839,9 +839,13 @@ func hotDoc(b *testing.B) (*core.Study, string) {
 // BenchmarkClassifyHot measures the steady-state fused classify path: one
 // pass over the document bytes producing margin, token count and verdict,
 // with pooled scratch. The acceptance bar is >= 3x faster than
-// BenchmarkClassifyReference and <= 5 allocs/op.
+// BenchmarkClassifyReference and <= 5 allocs/op. It runs on one P, as
+// BenchmarkPrepareBatch does: a goroutine that moves to another P misses
+// the scorer pool's per-P slot and allocates a fresh scorer, which read
+// as 0-3 B/op amortized on unchanged code.
 func BenchmarkClassifyHot(b *testing.B) {
 	s, doc := hotDoc(b)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var r classifier.Result
 	b.ReportAllocs()
 	b.ResetTimer()

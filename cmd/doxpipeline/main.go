@@ -6,7 +6,7 @@
 //
 //	doxpipeline [-scale 0.05] [-seed 42] [-parallelism 0] [-faults off] [-progress] [-json]
 //	            [-state-dir dir] [-checkpoint-every 1] [-checkpoint-mode full|delta]
-//	            [-compact-every 0] [-checkpoint-compress] [-resume]
+//	            [-compact-every 0] [-resume]
 //	            [-admin addr] [-traces out.jsonl]
 //
 // With -state-dir the study is durable: every -checkpoint-every study days

@@ -1,9 +1,9 @@
-// Component registry: every stateful pipeline layer is adapted onto
-// store.Component once, in buildRegistry, and the snapshot, restore,
+// Checkpoint components: every stateful pipeline layer is adapted once,
+// in buildComponents, into a component, and the snapshot, restore,
 // delta-cut and journal-drain paths iterate that one table instead of
-// hand-wiring seven special cases. Registration order fixes iteration
-// order; snapshot payload bytes are unchanged by the indirection because
-// each adapter marshals exactly the typed state the old code did.
+// hand-wiring seven special cases. Table order fixes iteration order;
+// snapshot payload bytes are unchanged by the indirection because each
+// adapter marshals exactly the typed state the old code did.
 package core
 
 import (
@@ -16,159 +16,101 @@ import (
 	"doxmeter/internal/feed"
 	"doxmeter/internal/monitor"
 	"doxmeter/internal/notify"
-	"doxmeter/internal/store"
 	"doxmeter/internal/watchlist"
 )
 
-// comp adapts a typed snapshot provider (state type S) to
-// store.Component. snap and restore close over the provider; journal
-// drains its mutations for delta cuts.
-type comp[S any] struct {
-	name    string
-	snap    func() S
-	restore func(S) error
-	journal store.Journal
-}
-
-func (c *comp[S]) Name() string { return c.name }
-
-func (c *comp[S]) Snapshot() (json.RawMessage, error) {
-	b, err := json.Marshal(c.snap())
-	if err != nil {
-		return nil, fmt.Errorf("core: snapshot component %s: %w", c.name, err)
-	}
-	return b, nil
-}
-
-func (c *comp[S]) Restore(raw json.RawMessage) error {
-	var st S
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("core: restore component %s: %w", c.name, err)
-	}
-	return c.restore(st)
-}
-
-func (c *comp[S]) DeltaJournal() store.Journal { return c.journal }
-
-// journal adapts a typed CutDelta provider to store.Journal.
-type journal[D any] struct {
+// component is one named unit of checkpointable state — the core funnel,
+// the dedup index, the monitor schedule, a crawler's cursors, a §7
+// service — speaking JSON payloads. newComponent builds one from its
+// provider's typed state and patch methods.
+type component struct {
 	name string
-	set  func(on bool)
-	cut  func() (D, bool)
+	// optional components may be absent from a snapshot (a service
+	// attached after the checkpoint was cut); restore leaves them fresh.
+	optional bool
+	snapshot func() (json.RawMessage, error)
+	restore  func(json.RawMessage) error
+	// journal switches the provider's delta journal on (delta mode only).
+	journal func()
+	// cut drains the journal: the patch since the previous cut and
+	// whether anything changed. A clean component returns (nil, false,
+	// nil) and travels as a reference in the delta.
+	cut func() (patch json.RawMessage, dirty bool, err error)
 }
 
-func (j journal[D]) SetJournal(on bool) { j.set(on) }
-
-func (j journal[D]) Cut() (json.RawMessage, bool, error) {
-	d, dirty := j.cut()
-	if !dirty {
-		return nil, false, nil
+// newComponent adapts a provider with state type S and patch type D:
+// snap and restore speak its full state, cut drains its journal.
+func newComponent[S, D any](name string, optional bool, snap func() S, restore func(S) error, journal func(), cut func() (D, bool)) component {
+	return component{
+		name:     name,
+		optional: optional,
+		snapshot: func() (json.RawMessage, error) {
+			b, err := json.Marshal(snap())
+			if err != nil {
+				return nil, fmt.Errorf("core: snapshot component %s: %w", name, err)
+			}
+			return b, nil
+		},
+		restore: func(raw json.RawMessage) error {
+			var st S
+			if err := json.Unmarshal(raw, &st); err != nil {
+				return fmt.Errorf("core: restore component %s: %w", name, err)
+			}
+			return restore(st)
+		},
+		journal: journal,
+		cut: func() (json.RawMessage, bool, error) {
+			d, dirty := cut()
+			if !dirty {
+				return nil, false, nil
+			}
+			b, err := json.Marshal(d)
+			if err != nil {
+				return nil, false, fmt.Errorf("core: delta component %s: %w", name, err)
+			}
+			return b, true, nil
+		},
 	}
-	b, err := json.Marshal(d)
-	if err != nil {
-		return nil, false, fmt.Errorf("core: delta component %s: %w", j.name, err)
-	}
-	return b, true, nil
 }
 
-// coreJournal is the study's own journal: the core component changes
-// every cut (days_done and the run digest advance daily), so Cut is
-// always dirty. Cutting also re-anchors the tracked-adds journal (see
-// coreStateDelta), which is exactly what drainJournals needs on full
-// cuts. Journaling is structural — the tracked fields exist regardless —
-// so SetJournal has nothing to toggle.
-type coreJournal struct{ s *Study }
-
-func (coreJournal) SetJournal(bool) {}
-
-func (j coreJournal) Cut() (json.RawMessage, bool, error) {
-	b, err := json.Marshal(j.s.coreStateDelta())
-	if err != nil {
-		return nil, false, fmt.Errorf("core: delta component %s: %w", compCore, err)
-	}
-	return b, true, nil
-}
-
-// buildRegistry assembles the study's component table. Required
+// buildComponents assembles the study's component table. Required
 // components are the pipeline's own state; the mitigation services are
 // optional (a snapshot written before a service attached leaves it
 // starting fresh). Every component journals; a service whose state the
 // chain does not hold yet travels whole once (see buildDelta).
-func (s *Study) buildRegistry() error {
-	r := store.NewRegistry()
-	if err := r.Register(&comp[coreState]{
-		name:    compCore,
-		snap:    s.coreState,
-		restore: s.restoreCoreState,
-		journal: coreJournal{s},
-	}); err != nil {
-		return err
-	}
-	if err := r.Register(&comp[dedup.State]{
-		name:    compDedup,
-		snap:    s.Deduper.Snapshot,
-		restore: s.Deduper.Restore,
-		journal: journal[dedup.Delta]{name: compDedup, set: s.Deduper.SetDeltaJournal, cut: s.Deduper.CutDelta},
-	}); err != nil {
-		return err
-	}
-	if err := r.Register(&comp[monitor.State]{
-		name:    compMonitor,
-		snap:    s.Monitor.Snapshot,
-		restore: s.Monitor.Restore,
-		journal: journal[monitor.Delta]{name: compMonitor, set: s.Monitor.SetDeltaJournal, cut: s.Monitor.CutDelta},
-	}); err != nil {
-		return err
-	}
+//
+// The core component's journal is structural — the tracked fields exist
+// regardless — so there is nothing to switch on, and it is always dirty
+// (days_done and the run digest advance daily). Cutting it re-anchors
+// the tracked-adds journal (see coreStateDelta), which is exactly what
+// drainJournals needs on full cuts.
+func (s *Study) buildComponents() {
 	pb := s.crawlers.pastebin
-	if err := r.Register(&comp[crawler.PastebinState]{
-		name:    compPastebin,
-		snap:    pb.Snapshot,
-		restore: s.restorePastebin,
-		journal: journal[crawler.PastebinDelta]{name: compPastebin, set: pb.SetDeltaJournal, cut: pb.CutDelta},
-	}); err != nil {
-		return err
+	s.components = []component{
+		newComponent(compCore, false, s.coreState, s.restoreCoreState, func() {},
+			func() (coreStateDelta, bool) { return s.coreStateDelta(), true }),
+		newComponent(compDedup, false, s.Deduper.Snapshot, s.Deduper.Restore, s.Deduper.SetDeltaJournal, s.Deduper.CutDelta),
+		newComponent(compMonitor, false, s.Monitor.Snapshot, s.Monitor.Restore, s.Monitor.SetDeltaJournal, s.Monitor.CutDelta),
+		newComponent(compPastebin, false, pb.Snapshot, s.restorePastebin, pb.SetDeltaJournal, pb.CutDelta),
 	}
 	for _, b := range s.crawlers.boards {
 		b := b
-		key := "crawler/" + b.SiteName
-		if err := r.Register(&comp[crawler.BoardState]{
-			name:    key,
-			snap:    b.Snapshot,
-			restore: func(st crawler.BoardState) error { b.Restore(st); return nil },
-			journal: journal[crawler.BoardDelta]{name: key, set: b.SetDeltaJournal, cut: b.CutDelta},
-		}); err != nil {
-			return err
-		}
+		s.components = append(s.components, newComponent("crawler/"+b.SiteName, false, b.Snapshot,
+			func(st crawler.BoardState) error { b.Restore(st); return nil }, b.SetDeltaJournal, b.CutDelta))
 	}
-	if f := s.fanout; f != nil {
-		if n := f.Notify; n != nil {
-			if err := r.RegisterOptional(&comp[notify.State]{
-				name: compNotify, snap: n.Snapshot, restore: n.Restore,
-				journal: journal[notify.Delta]{name: compNotify, set: n.SetDeltaJournal, cut: n.CutDelta},
-			}); err != nil {
-				return err
-			}
-		}
-		if w := f.Watchlist; w != nil {
-			if err := r.RegisterOptional(&comp[watchlist.State]{
-				name: compWatchlist, snap: w.Snapshot, restore: w.Restore,
-				journal: journal[watchlist.Delta]{name: compWatchlist, set: w.SetDeltaJournal, cut: w.CutDelta},
-			}); err != nil {
-				return err
-			}
-		}
-		if l := f.Feed; l != nil {
-			if err := r.RegisterOptional(&comp[feed.State]{
-				name: compFeed, snap: l.Snapshot, restore: l.Restore,
-				journal: journal[feed.Delta]{name: compFeed, set: l.SetDeltaJournal, cut: l.CutDelta},
-			}); err != nil {
-				return err
-			}
-		}
+	f := s.fanout
+	if f == nil {
+		return
 	}
-	s.registry = r
-	return nil
+	if n := f.Notify; n != nil {
+		s.components = append(s.components, newComponent(compNotify, true, n.Snapshot, n.Restore, n.SetDeltaJournal, n.CutDelta))
+	}
+	if w := f.Watchlist; w != nil {
+		s.components = append(s.components, newComponent(compWatchlist, true, w.Snapshot, w.Restore, w.SetDeltaJournal, w.CutDelta))
+	}
+	if l := f.Feed; l != nil {
+		s.components = append(s.components, newComponent(compFeed, true, l.Snapshot, l.Restore, l.SetDeltaJournal, l.CutDelta))
+	}
 }
 
 // fold replays one component's patches during chain replay: it holds

@@ -140,14 +140,13 @@ func mergeSortedUnique(a, b []string) []string {
 // delta. Only the re-anchoring matters, so a discarded patch's error does
 // too.
 func (s *Study) drainJournals() {
-	_ = s.registry.Each(func(c store.Component, _ bool) error {
-		_, _, _ = c.DeltaJournal().Cut()
-		return nil
-	})
+	for _, c := range s.components {
+		_, _, _ = c.cut()
+	}
 }
 
 // buildDelta assembles the incremental checkpoint for the current cut by
-// iterating the component registry: each component cuts its journal
+// iterating the component table: each component cuts its journal
 // (OpPatch when dirty, OpRef when clean; the core journal is always
 // dirty — days_done and the run digest advance every day). A component
 // whose state the chain does not hold yet — a service attached after the
@@ -157,34 +156,29 @@ func (s *Study) drainJournals() {
 // payload, the next patch or both, never in neither; every delta form
 // is idempotent under such a repeat.
 func (s *Study) buildDelta(periodNo, day int) (*store.Delta, error) {
-	comps := make(map[string]store.ComponentDelta, s.registry.Len())
-	if err := s.registry.Each(func(c store.Component, _ bool) error {
-		name := c.Name()
-		j := c.DeltaJournal()
-		if !s.inChain[name] {
-			if _, _, err := j.Cut(); err != nil {
-				return err
+	comps := make(map[string]store.ComponentDelta, len(s.components))
+	for _, c := range s.components {
+		if !s.inChain[c.name] {
+			if _, _, err := c.cut(); err != nil {
+				return nil, err
 			}
-			b, err := c.Snapshot()
+			b, err := c.snapshot()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			comps[name] = store.ComponentDelta{Op: store.OpFull, Payload: b}
-			s.inChain[name] = true
-			return nil
+			comps[c.name] = store.ComponentDelta{Op: store.OpFull, Payload: b}
+			s.inChain[c.name] = true
+			continue
 		}
-		patch, dirty, err := j.Cut()
+		patch, dirty, err := c.cut()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if !dirty {
-			comps[name] = store.ComponentDelta{Op: store.OpRef}
-			return nil
+			comps[c.name] = store.ComponentDelta{Op: store.OpRef}
+			continue
 		}
-		comps[name] = store.ComponentDelta{Op: store.OpPatch, Payload: patch}
-		return nil
-	}); err != nil {
-		return nil, err
+		comps[c.name] = store.ComponentDelta{Op: store.OpPatch, Payload: patch}
 	}
 	return &store.Delta{
 		Seq:     s.ckptSeq,

@@ -10,6 +10,8 @@ package core_test
 // determinism re-derives the lost days.
 
 import (
+	"bytes"
+	"compress/flate"
 	"context"
 	"errors"
 	"fmt"
@@ -118,8 +120,10 @@ func deltaLeg(t *testing.T, cfg core.StudyConfig, ck *core.CheckpointConfig, wan
 //     fall back to the previous full and its retained deltas.
 //
 // Every resume rolls back only to the newest decodable cut, and the
-// completed study is bit-identical to an uninterrupted run. Runs with
-// compression on so torn flate streams exercise the decode-error path.
+// completed study is bit-identical to an uninterrupted run. Leg 1's cuts
+// are rewritten with flate bodies, as a run of an earlier revision with
+// compression on left them, so leg 2 resumes over a flate chain whose
+// tip is a torn flate stream.
 func TestDeltaKillAnywhereDamage(t *testing.T) {
 	t.Parallel()
 	base := getBaseline(t, false)
@@ -129,7 +133,6 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	fs.SetCompress(true)
 	cfg := resumeCfg(1, false)
 	// CompactEvery 4 ⇒ fulls at cuts 1, 6, 11, ... (5k+1), deltas between.
 	ck := deltaCkpt(fs, 4)
@@ -149,8 +152,16 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 	}
 
 	// Leg 1: fresh start, stop at day 18 (seq == absolute day at
-	// EveryDays 1). Torn tail: truncate the newest delta.
+	// EveryDays 1). Deflate its cuts, then the torn tail: truncate the
+	// newest delta.
 	deltaLeg(t, cfg, ck, 0, 18)
+	cuts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil || len(cuts) == 0 {
+		t.Fatalf("leg 1 left cuts %v (%v)", cuts, err)
+	}
+	for _, path := range cuts {
+		deflateCut(t, path)
+	}
 	truncate(18, "delta-")
 
 	// Leg 2: resume must land on day 17. Stop at 40, then simulate a
@@ -175,12 +186,44 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 	compareStudies(t, base.s, s, base.tables, renderAnalyses(s))
 }
 
+// deflateCut rewrites a plain checkpoint file with a flate body, byte for
+// byte as the compressing writer of earlier revisions wrote it: the
+// header line gains a "flate" token and the body is deflated at
+// BestSpeed (flate's output does not depend on how its input is split
+// into writes).
+func deflateCut(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, body, ok := bytes.Cut(b, []byte("\n"))
+	if !ok {
+		t.Fatalf("%s: no header line", path)
+	}
+	var out bytes.Buffer
+	out.Write(header)
+	out.WriteString(" flate\n")
+	fw, err := flate.NewWriter(&out, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(body); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDeltaFileStoreDurableRun runs a complete uninterrupted delta-mode
 // study against the file store, proves delta-durable ≡ non-durable,
 // checks both delta files and compaction fulls reached disk, and extends
 // the §3.3 plant scan to every delta and compaction byte: raw PII must
-// never appear in any incremental cut either. Compression stays off —
-// the scan greps plaintext, and compressed bytes would mask a leak.
+// never appear in any incremental cut either.
 func TestDeltaFileStoreDurableRun(t *testing.T) {
 	t.Parallel()
 	base := getBaseline(t, false)

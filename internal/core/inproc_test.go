@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -92,7 +91,7 @@ func TestLocalTransportTruncatedBody(t *testing.T) {
 		t.Fatalf("read %d bytes, err %v; want 1000 then io.ErrUnexpectedEOF", len(got), err)
 	}
 
-	_, err = inprocFetcher(h, 0).Get(context.Background(), "http://"+inprocHost+"/x")
+	_, err = inprocFetcher(h, 0).GetText(context.Background(), "http://"+inprocHost+"/x")
 	if !errors.Is(err, crawler.ErrTruncatedBody) {
 		t.Fatalf("Fetcher err = %v, want ErrTruncatedBody", err)
 	}
@@ -108,7 +107,7 @@ func TestLocalTransportStallHonorsDeadline(t *testing.T) {
 	f := inprocFetcher(h, 50*time.Millisecond)
 
 	start := time.Now()
-	_, err := f.Get(context.Background(), "http://"+inprocHost+"/x")
+	_, err := f.GetText(context.Background(), "http://"+inprocHost+"/x")
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -227,11 +226,11 @@ func TestLocalTransportWriteString(t *testing.T) {
 		"metrics + Write":       telemetry.HTTPMetrics(reg, "a", nil, byWrite),
 		"metrics + WriteString": telemetry.HTTPMetrics(reg, "b", nil, byString),
 	} {
-		got, err := inprocFetcher(h, 0).Get(context.Background(), "http://"+inprocHost+"/x")
+		got, err := inprocFetcher(h, 0).GetText(context.Background(), "http://"+inprocHost+"/x")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !bytes.Equal(got, []byte(body)) {
+		if got != body {
 			t.Fatalf("%s: body differs (%d bytes, want %d)", name, len(got), len(body))
 		}
 	}
@@ -285,7 +284,7 @@ func TestLocalTransportUnknownHost(t *testing.T) {
 func TestLocalTransportBodyCap(t *testing.T) {
 	const limit = 16 << 20
 	body := strings.Repeat("z", limit+1)
-	_, err := inprocFetcher(bodyHandler(body), 0).Get(context.Background(), "http://"+inprocHost+"/big")
+	_, err := inprocFetcher(bodyHandler(body), 0).GetText(context.Background(), "http://"+inprocHost+"/big")
 	if !errors.Is(err, crawler.ErrTruncatedBody) {
 		t.Fatalf("err = %v, want ErrTruncatedBody", err)
 	}

@@ -204,21 +204,18 @@ func doxStateOf(d *DoxRecord) doxState {
 }
 
 // Snapshot assembles a full checkpoint of the study at the given day
-// boundary by iterating the component registry: core funnel state, dedup
+// boundary by iterating the component table: core funnel state, dedup
 // indexes, monitor histories, every crawler's cursor/seen state, and any
 // attached mitigation services (whose snapshots obey the same §3.3
 // discipline: salted digests and hashes only).
 func (s *Study) Snapshot(periodNo, day int) (*store.Snapshot, error) {
-	comps := make(map[string]json.RawMessage, s.registry.Len())
-	if err := s.registry.Each(func(c store.Component, _ bool) error {
-		b, err := c.Snapshot()
+	comps := make(map[string]json.RawMessage, len(s.components))
+	for _, c := range s.components {
+		b, err := c.snapshot()
 		if err != nil {
-			return err
+			return nil, err
 		}
-		comps[c.Name()] = b
-		return nil
-	}); err != nil {
-		return nil, err
+		comps[c.name] = b
 	}
 	return &store.Snapshot{
 		Seq: s.ckptSeq,
@@ -340,7 +337,7 @@ func (s *Study) restorePastebin(st crawler.PastebinState) error {
 // RestoreSnapshot loads a checkpoint into a freshly built study. The study
 // must have been constructed with the same Seed and Scale; everything else
 // (world, corpus, classifier, services) is already rebuilt deterministically
-// by NewStudy, so only the mutable pipeline state — the component registry —
+// by NewStudy, so only the mutable pipeline state — the component table —
 // is restored here. Optional components (attached services) absent from the
 // snapshot simply start fresh.
 func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
@@ -360,27 +357,24 @@ func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
 		return fmt.Errorf("core: restore: snapshot time %v is before the study clock %v", snap.Meta.VirtualTime, now)
 	}
 	// Every required component must be present before anything mutates.
-	if err := s.registry.Each(func(c store.Component, optional bool) error {
-		if _, ok := snap.Components[c.Name()]; !ok && !optional {
-			return fmt.Errorf("core: restore: snapshot missing component %q", c.Name())
+	for _, c := range s.components {
+		if _, ok := snap.Components[c.name]; !ok && !c.optional {
+			return fmt.Errorf("core: restore: snapshot missing component %q", c.name)
 		}
-		return nil
-	}); err != nil {
-		return err
 	}
 	// Components restore against the snapshot's virtual time (the
 	// pastebin cursor is range-checked against it).
 	if snap.Meta.VirtualTime.After(now) {
 		s.Clock.Set(snap.Meta.VirtualTime)
 	}
-	if err := s.registry.Each(func(c store.Component, _ bool) error {
-		raw, ok := snap.Components[c.Name()]
+	for _, c := range s.components {
+		raw, ok := snap.Components[c.name]
 		if !ok {
-			return nil // optional component, absent from this snapshot
+			continue // optional component, absent from this snapshot
 		}
-		return c.Restore(raw)
-	}); err != nil {
-		return err
+		if err := c.restore(raw); err != nil {
+			return err
+		}
 	}
 	s.ckptSeq = snap.Seq
 	if s.deltaMode {

@@ -287,9 +287,9 @@ type Study struct {
 	rng *rand.Rand
 	m   *studyMetrics
 
-	// registry is the table of checkpoint components (see components.go);
-	// the snapshot, restore and delta paths iterate it.
-	registry *store.Registry
+	// components is the table of checkpoint components (see
+	// components.go); the snapshot, restore and delta paths iterate it.
+	components []component
 
 	// fanout is StudyConfig.Stream.Fanout, nil outside service mode;
 	// polledAt maps each source to the wall time its current day's poll
@@ -533,18 +533,15 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	}
 	// One table of checkpoint components; snapshot, restore and delta
 	// cuts all iterate it (see components.go).
-	if err := s.buildRegistry(); err != nil {
-		return nil, err
-	}
+	s.buildComponents()
 	// In delta mode every stateful provider journals its mutations so a
 	// cut serializes only what changed since the previous one.
 	if ck := s.ckpt(); ck != nil && ck.Mode == CheckpointDelta {
 		s.deltaMode = true
-		s.inChain = make(map[string]bool, s.registry.Len())
-		_ = s.registry.Each(func(c store.Component, _ bool) error {
-			c.DeltaJournal().SetJournal(true)
-			return nil
-		})
+		s.inChain = make(map[string]bool, len(s.components))
+		for _, c := range s.components {
+			c.journal()
+		}
 	}
 	return s, nil
 }

@@ -335,34 +335,10 @@ func (f *Fetcher) Stats() FetchStats {
 	}
 }
 
-// Get fetches a URL, honoring rate limits, Retry-After back-pressure and
-// the circuit breaker, retrying transient errors with jittered backoff.
-func (f *Fetcher) Get(ctx context.Context, url string) ([]byte, error) {
-	return f.GetValidated(ctx, url, nil)
-}
-
-// GetValidated is Get plus a structural payload check: a 200 body that
-// fails validate counts as ErrCorruptPayload and is retried like any other
-// transient failure, because live corruption (mid-path mangling, half-
-// written upstream caches) usually clears on refetch. If every attempt
-// yields garbage the final error wraps ErrCorruptPayload so the caller can
-// quarantine.
-func (f *Fetcher) GetValidated(ctx context.Context, url string, validate func([]byte) error) ([]byte, error) {
-	var out []byte
-	err := f.fetch(ctx, url, validate, func(body []byte) {
-		out = make([]byte, len(body))
-		copy(out, body)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // GetFunc is the zero-copy fetch: validate (may be nil) structurally
-// checks the body exactly as in GetValidated, then consume sees the
-// pooled bytes before they are recycled. consume must copy out anything
-// it retains — the slice is invalid once GetFunc returns.
+// checks the body as fetch describes, then consume sees the pooled bytes
+// before they are recycled. consume must copy out anything it retains —
+// the slice is invalid once GetFunc returns.
 func (f *Fetcher) GetFunc(ctx context.Context, url string, validate func([]byte) error, consume func(body []byte)) error {
 	return f.fetch(ctx, url, validate, consume)
 }
@@ -376,13 +352,19 @@ func (f *Fetcher) GetText(ctx context.Context, url string) (string, error) {
 	return out, err
 }
 
-// fetch is the retrying core behind Get/GetValidated/GetText. The response
-// body lives in a pooled buffer for the duration of one attempt: validate
-// (the structural check, which may parse-and-capture) and then consume (the
-// materialization hook) see the pooled bytes, which are recycled before
-// fetch returns — neither callback may retain the slice. Callers that parse
-// inside validate and need no raw bytes pass consume=nil and pay zero
-// copies.
+// fetch is the retrying core behind GetFunc and GetText. It honors rate
+// limits, Retry-After back-pressure and the circuit breaker, retrying
+// transient errors with jittered backoff. A 200 body that fails validate
+// counts as ErrCorruptPayload and is retried like any other transient
+// failure, because live corruption (mid-path mangling, half-written
+// upstream caches) usually clears on refetch; if every attempt yields
+// garbage the final error wraps ErrCorruptPayload so the caller can
+// quarantine. The response body lives in a pooled buffer for the duration
+// of one attempt: validate (the structural check, which may
+// parse-and-capture) and then consume (the materialization hook) see the
+// pooled bytes, which are recycled before fetch returns — neither
+// callback may retain the slice. Callers that parse inside validate and
+// need no raw bytes pass consume=nil and pay zero copies.
 func (f *Fetcher) fetch(ctx context.Context, url string, validate func([]byte) error, consume func([]byte)) error {
 	var lastErr error
 	for attempt := 0; attempt <= f.opts.Retries; attempt++ {
@@ -1016,13 +998,13 @@ type PastebinDelta struct {
 	Added  []string `json:"added,omitempty"` // sorted
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; the non-durable path
-// keeps journaling off and pays nothing per commit.
-func (c *Pastebin) SetDeltaJournal(on bool) {
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
+// non-durable path pays nothing per commit.
+func (c *Pastebin) SetDeltaJournal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.journalOn = on
+	c.journalOn = true
 	c.jSeen = nil
 	c.lastCutCursor = c.cursor
 }
@@ -1333,18 +1315,14 @@ type BoardDelta struct {
 	AddedPosts []int64         `json:"added_posts,omitempty"` // sorted
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; the non-durable path
-// keeps journaling off and pays nothing per commit.
-func (c *Board) SetDeltaJournal(on bool) {
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
+// non-durable path pays nothing per commit.
+func (c *Board) SetDeltaJournal() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.journalOn = on
-	if on {
-		c.jThreads = make(map[int64]bool)
-	} else {
-		c.jThreads = nil
-	}
+	c.journalOn = true
+	c.jThreads = make(map[int64]bool)
 	c.jPosts = nil
 }
 

@@ -45,7 +45,7 @@ func TestPastebinDeltaMatchesSnapshot(t *testing.T) {
 	defer srv.Close()
 
 	c := NewPastebin(srv.URL, Options{})
-	c.SetDeltaJournal(true)
+	c.SetDeltaJournal()
 	ctx := context.Background()
 
 	base := roundTrip(t, c.Snapshot())
@@ -90,7 +90,7 @@ func TestBoardDeltaMatchesSnapshot(t *testing.T) {
 	defer srv.Close()
 
 	c := NewBoard(srv.URL, "b", "4chan/b", Options{})
-	c.SetDeltaJournal(true)
+	c.SetDeltaJournal()
 	ctx := context.Background()
 
 	base := roundTrip(t, c.Snapshot())
@@ -132,7 +132,7 @@ func TestDeltaJournalSurvivesRestore(t *testing.T) {
 	defer srv.Close()
 
 	c := NewPastebin(srv.URL, Options{})
-	c.SetDeltaJournal(true)
+	c.SetDeltaJournal()
 	ctx := context.Background()
 
 	clock.Set(simclock.Period1.Start.Add(14 * simclock.Day))

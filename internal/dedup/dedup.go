@@ -290,13 +290,13 @@ type Delta struct {
 	Stats         Stats             `json:"stats"`
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; the non-durable path
-// keeps journaling off and pays nothing per Check.
-func (d *Deduper) SetDeltaJournal(on bool) {
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
+// non-durable path pays nothing per Check.
+func (d *Deduper) SetDeltaJournal() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.journalOn = on
+	d.journalOn = true
 	d.jBodies = nil
 	d.jAccounts = nil
 	d.lastCutStat = d.stats

@@ -13,7 +13,7 @@ import (
 // Snapshot taken at the same cut.
 func TestDeltaMatchesSnapshot(t *testing.T) {
 	d := New()
-	d.SetDeltaJournal(true)
+	d.SetDeltaJournal()
 
 	marshal := func(v any) string {
 		b, err := json.Marshal(v)

@@ -39,7 +39,7 @@ func TestTruncateThroughHTTPMetrics(t *testing.T) {
 		Retries:          -1,
 		BreakerThreshold: -1,
 	})
-	_, err := f.Get(context.Background(), srv.URL+"/api_scrape_item.php?i=k")
+	_, err := f.GetText(context.Background(), srv.URL+"/api_scrape_item.php?i=k")
 	if !errors.Is(err, crawler.ErrTruncatedBody) {
 		t.Fatalf("err = %v, want ErrTruncatedBody", err)
 	}

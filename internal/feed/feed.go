@@ -234,9 +234,9 @@ type Delta struct {
 }
 
 // SetDeltaJournal re-anchors the delta journal at the current state. The
-// journal is one watermark, so the log pays nothing per publish either
-// way.
-func (l *Log) SetDeltaJournal(bool) {
+// journal is one watermark, so the log pays nothing per publish whether
+// or not a checkpoint ever cuts it.
+func (l *Log) SetDeltaJournal() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.cutSeq = l.nextSeq

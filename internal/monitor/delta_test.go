@@ -38,7 +38,7 @@ func parentFormat(d Delta, snap State) Delta {
 // resume must still replay.
 func TestDeltaMatchesSnapshot(t *testing.T) {
 	r := newRig(t, 0.05)
-	r.mon.SetDeltaJournal(true)
+	r.mon.SetDeltaJournal()
 	ctx := context.Background()
 
 	marshal := func(v any) string {

@@ -458,18 +458,14 @@ func historyStateKey(hs HistoryState) string {
 	return hs.Network + ":" + hs.Username
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; the non-durable path
-// keeps journaling off and pays nothing per track or commit.
-func (m *Monitor) SetDeltaJournal(on bool) {
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
+// non-durable path pays nothing per track or commit.
+func (m *Monitor) SetDeltaJournal() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.journalOn = on
-	if on {
-		m.journal = make(map[string]int)
-	} else {
-		m.journal = nil
-	}
+	m.journalOn = true
+	m.journal = make(map[string]int)
 	m.lastCutRequests = m.requests
 }
 
@@ -688,7 +684,7 @@ var (
 
 // validProfile is the structural check a genuine profile page always
 // passes (every OSN page opens with an <html> tag): a 200 body without the
-// marker is a corrupted transfer, which GetValidated retries and, if
+// marker is a corrupted transfer, which the fetcher retries and, if
 // persistent, surfaces as crawler.ErrCorruptPayload.
 func validProfile(body []byte) error {
 	if !bytes.Contains(body, []byte("<html")) {

@@ -54,7 +54,7 @@ type Service struct {
 
 	mu          sync.RWMutex
 	subscribers map[string]map[string]Kind // digest -> subscriberID -> kind
-	pending     map[string][]Notification  // subscriberID -> queue
+	pending     map[string]queue           // subscriberID -> queue
 	pendingCap  int
 	notified    int
 	ingested    int
@@ -77,10 +77,22 @@ func NewService(salt string) *Service {
 	return &Service{
 		salt:        []byte(salt),
 		subscribers: make(map[string]map[string]Kind),
-		pending:     make(map[string][]Notification),
+		pending:     make(map[string]queue),
 		pendingCap:  DefaultPendingCap,
 	}
 }
+
+// queue is one subscriber's pending notifications, buf[head:]. Dropping
+// the oldest entries advances head; the live entries move back to the
+// front of buf once head reaches the cap, so a full queue costs O(1) per
+// notification amortized and its backing array stays within about twice
+// the cap.
+type queue struct {
+	buf  []Notification
+	head int
+}
+
+func (q queue) live() []Notification { return q.buf[q.head:] }
 
 // SetPendingCap bounds each subscriber's pending queue to n notifications
 // (drop-oldest on overflow). n <= 0 removes the bound.
@@ -203,15 +215,16 @@ func (s *Service) Ingest(site string, seenAt time.Time, ex *extract.Extraction) 
 // enqueue appends one notification, dropping the oldest entries when the
 // subscriber's queue exceeds the cap. Callers hold s.mu.
 func (s *Service) enqueue(sub string, note Notification) {
-	q := append(s.pending[sub], note)
-	if s.pendingCap > 0 && len(q) > s.pendingCap {
-		over := len(q) - s.pendingCap
-		// Shift in place instead of re-slicing the head off: the backing
-		// array stays bounded at ~cap instead of leaking dropped entries.
-		copy(q, q[over:])
-		q = q[:s.pendingCap]
+	q := s.pending[sub]
+	q.buf = append(q.buf, note)
+	if over := len(q.buf) - q.head - s.pendingCap; s.pendingCap > 0 && over > 0 {
+		q.head += over
 		s.dropped += over
 		s.droppedC.Add(float64(over))
+		if q.head >= s.pendingCap {
+			q.buf = q.buf[:copy(q.buf, q.live())]
+			q.head = 0
+		}
 	}
 	s.pending[sub] = q
 	if s.journalOn {
@@ -223,19 +236,19 @@ func (s *Service) enqueue(sub string, note Notification) {
 func (s *Service) Drain(subscriberID string) []Notification {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out, ok := s.pending[subscriberID]
+	q, ok := s.pending[subscriberID]
 	delete(s.pending, subscriberID)
 	if ok && s.journalOn {
 		s.jQueues[subscriberID] = true
 	}
-	return out
+	return q.live()
 }
 
 // Pending returns the number of undelivered notifications for a subscriber.
 func (s *Service) Pending(subscriberID string) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.pending[subscriberID])
+	return len(s.pending[subscriberID].live())
 }
 
 // Stats reports service counters.
@@ -296,7 +309,7 @@ func (s *Service) Snapshot() State {
 		st.Subscribers[d] = cp
 	}
 	for id, q := range s.pending {
-		st.Pending[id] = append([]Notification(nil), q...)
+		st.Pending[id] = append([]Notification(nil), q.live()...)
 	}
 	return st
 }
@@ -319,12 +332,12 @@ func (s *Service) Restore(st State) error {
 		}
 		s.subscribers[d] = cp
 	}
-	s.pending = make(map[string][]Notification, len(st.Pending))
+	s.pending = make(map[string]queue, len(st.Pending))
 	for id, q := range st.Pending {
 		if s.pendingCap > 0 && len(q) > s.pendingCap {
 			q = q[len(q)-s.pendingCap:]
 		}
-		s.pending[id] = append([]Notification(nil), q...)
+		s.pending[id] = queue{buf: append([]Notification(nil), q...)}
 	}
 	s.ingested = st.Ingested
 	s.notified = st.Notified
@@ -351,13 +364,13 @@ type Delta struct {
 	Dropped        int                        `json:"dropped"`
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; with journaling off the
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
 // registry pays nothing per mutation.
-func (s *Service) SetDeltaJournal(on bool) {
+func (s *Service) SetDeltaJournal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.journalOn = on
+	s.journalOn = true
 	s.resetJournalLocked()
 }
 
@@ -401,7 +414,7 @@ func (s *Service) CutDelta() (Delta, bool) {
 		if d.Pending == nil {
 			d.Pending = make(map[string][]Notification, len(s.jQueues))
 		}
-		d.Pending[id] = append([]Notification(nil), q...)
+		d.Pending[id] = append([]Notification(nil), q.live()...)
 	}
 	sort.Strings(d.RemovedDigests)
 	sort.Strings(d.Drained)

@@ -196,6 +196,42 @@ func TestPendingCapDropOldest(t *testing.T) {
 			t.Fatalf("note %d seen at %v, want %v", i, n.SeenAt, want)
 		}
 	}
+	// Past twice the cap the queue compacts. It must still hold exactly
+	// what shifting the oldest entries out would leave, also after
+	// SetPendingCap lowers the cap mid-stream.
+	s3 := NewService("x")
+	s3.SetPendingCap(4)
+	s3.Subscribe("u", KindEmail, "user@mail.com")
+	limit := 4
+	var want []time.Time
+	for i := 0; i < 30; i++ {
+		if i == 13 {
+			limit = 2
+			s3.SetPendingCap(limit)
+		}
+		at := time.Unix(int64(i), 0).UTC()
+		s3.Ingest("site", at, ex)
+		want = append(want, at)
+		if len(want) > limit {
+			want = want[len(want)-limit:]
+		}
+		got := s3.Snapshot().Pending["u"]
+		if len(got) != len(want) || s3.Pending("u") != len(want) {
+			t.Fatalf("after ingest %d: pending %d (snapshot %d), want %d", i, s3.Pending("u"), len(got), len(want))
+		}
+		for k := range got {
+			if !got[k].SeenAt.Equal(want[k]) {
+				t.Fatalf("after ingest %d: note %d seen at %v, want %v", i, k, got[k].SeenAt, want[k])
+			}
+		}
+		if d := s3.Dropped(); d != i+1-len(want) {
+			t.Fatalf("after ingest %d: dropped = %d, want %d", i, d, i+1-len(want))
+		}
+	}
+	if notes := s3.Drain("u"); len(notes) != 2 || !notes[0].SeenAt.Equal(want[0]) || !notes[1].SeenAt.Equal(want[1]) {
+		t.Fatalf("drained %v, want seen at %v", notes, want)
+	}
+
 	// Counter surfaces through the telemetry registry.
 	s2 := NewService("x")
 	s2.SetPendingCap(1)
@@ -255,7 +291,7 @@ func TestDeltaCutsUnderHTTPLoad(t *testing.T) {
 	settle := leakcheck.Mark(t)
 	s := NewService("x")
 	s.SetPendingCap(4)
-	s.SetDeltaJournal(true)
+	s.SetDeltaJournal()
 	marshal := func(v any) string {
 		b, err := json.Marshal(v)
 		if err != nil {

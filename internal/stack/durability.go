@@ -1,7 +1,7 @@
 // Package stack wires the command-line front ends to the study engine.
 // It holds the flag surfaces every binary would otherwise duplicate —
 // currently the durability block (-state-dir, -checkpoint-every,
-// -checkpoint-mode, -compact-every, -checkpoint-compress, -resume) that
+// -checkpoint-mode, -compact-every, -resume) that
 // doxpipeline and doxnotify both expose — so flag names, defaults, help
 // strings and the validation rules stay identical across commands.
 package stack
@@ -31,8 +31,6 @@ type Durability struct {
 	// cadence in deltas (0 = compact once the deltas since the last full
 	// outweigh it).
 	CompactEvery int
-	// Compress is -checkpoint-compress.
-	Compress bool
 	// Resume is -resume: continue from the latest checkpoint in StateDir.
 	Resume bool
 }
@@ -40,8 +38,7 @@ type Durability struct {
 // RegisterFlags installs the durability block on fs. full exposes the
 // whole surface; false registers only the core subset (-state-dir,
 // -checkpoint-every, -resume) for commands that keep the full-snapshot
-// default, leaving Mode/CompactEvery/Compress at their zero-cost
-// defaults.
+// default, leaving Mode and CompactEvery at their zero-cost defaults.
 func (d *Durability) RegisterFlags(fs *flag.FlagSet, full bool) {
 	fs.StringVar(&d.StateDir, "state-dir", "", "directory for durable checkpoints (snapshots + commit log); empty = non-durable run")
 	fs.IntVar(&d.Every, "checkpoint-every", 1, "snapshot cadence in study days (period ends and stops always snapshot)")
@@ -52,7 +49,6 @@ func (d *Durability) RegisterFlags(fs *flag.FlagSet, full bool) {
 	}
 	fs.StringVar(&d.Mode, "checkpoint-mode", string(core.CheckpointFull), "checkpoint strategy: full (every cut is a complete snapshot) or delta (incremental diffs with periodic compaction)")
 	fs.IntVar(&d.CompactEvery, "compact-every", 0, "in delta mode, write a full compaction snapshot after this many deltas (0 = once the deltas since the last full add up to its size)")
-	fs.BoolVar(&d.Compress, "checkpoint-compress", false, "flate-compress checkpoint files in -state-dir")
 }
 
 // Validate checks the parsed block for the cross-flag rules shared by
@@ -92,7 +88,6 @@ func (d *Durability) Open() (*store.File, *core.CheckpointConfig, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fileStore.SetCompress(d.Compress)
 	return fileStore, &core.CheckpointConfig{
 		Store:        fileStore,
 		EveryDays:    d.Every,

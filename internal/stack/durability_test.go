@@ -31,11 +31,11 @@ func TestRegisterAndValidate(t *testing.T) {
 
 	// The full surface round-trips every flag.
 	d, err = parse(t, true, "-state-dir", "x", "-checkpoint-every", "3",
-		"-checkpoint-mode", "delta", "-compact-every", "5", "-checkpoint-compress", "-resume")
+		"-checkpoint-mode", "delta", "-compact-every", "5", "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Durable() || !d.DeltaMode() || d.Every != 3 || d.CompactEvery != 5 || !d.Compress || !d.Resume {
+	if !d.Durable() || !d.DeltaMode() || d.Every != 3 || d.CompactEvery != 5 || !d.Resume {
 		t.Fatalf("full surface = %+v", d)
 	}
 
@@ -52,7 +52,7 @@ func TestRegisterAndValidate(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var sub Durability
 	sub.RegisterFlags(fs, false)
-	for _, name := range []string{"checkpoint-mode", "compact-every", "checkpoint-compress"} {
+	for _, name := range []string{"checkpoint-mode", "compact-every"} {
 		if fs.Lookup(name) != nil {
 			t.Errorf("subset surface exposes -%s", name)
 		}

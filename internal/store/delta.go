@@ -57,6 +57,8 @@ type Delta struct {
 
 // Body encodings named in the header line. The absence of an encoding
 // token means encodingJSON, which keeps v1 full-snapshot headers valid.
+// This build writes only plain JSON; it still inflates flate bodies, so
+// state dirs written by earlier revisions with compression on resume.
 const (
 	encodingJSON  = "json"
 	encodingFlate = "flate"
@@ -106,40 +108,14 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // encodeStream writes the header line and then the body that body
-// writes, optionally through flate. fw, when non-nil, is reused via
-// Reset so steady-state compression allocates nothing. Returns bytes
-// written.
-func encodeStream(w io.Writer, fw *flate.Writer, magic string, version int, compress bool, body func(io.Writer) error) (int, error) {
+// writes. Returns bytes written.
+func encodeStream(w io.Writer, magic string, version int, body func(io.Writer) error) (int, error) {
 	cw := &countingWriter{w: w}
-	header := fmt.Sprintf("%s v%d\n", magic, version)
-	if compress {
-		header = fmt.Sprintf("%s v%d %s\n", magic, version, encodingFlate)
-	}
-	if _, err := io.WriteString(cw, header); err != nil {
+	if _, err := fmt.Fprintf(cw, "%s v%d\n", magic, version); err != nil {
 		return cw.n, err
 	}
-	out := io.Writer(cw)
-	if compress {
-		if fw == nil {
-			var err error
-			fw, err = flate.NewWriter(cw, flate.BestSpeed)
-			if err != nil {
-				return cw.n, err
-			}
-		} else {
-			fw.Reset(cw)
-		}
-		out = fw
-	}
-	if err := body(out); err != nil {
-		return cw.n, err
-	}
-	if compress {
-		if err := fw.Close(); err != nil {
-			return cw.n, err
-		}
-	}
-	return cw.n, nil
+	err := body(cw)
+	return cw.n, err
 }
 
 // envelope writes a checkpoint body — the JSON form of a Snapshot or a
@@ -313,13 +289,14 @@ func decodeStream(r io.Reader, magic string, version int, v any) error {
 	return nil
 }
 
-// encodeSnapshotStream is EncodeSnapshotTo with a caller-owned flate
-// writer for reuse across cuts (nil allocates one per call).
-func encodeSnapshotStream(w io.Writer, fw *flate.Writer, snap *Snapshot, compress bool) (int, error) {
+// EncodeSnapshotTo streams snap to w — header line, then the JSON body —
+// without buffering the whole payload. Returns the number of bytes
+// written.
+func EncodeSnapshotTo(w io.Writer, snap *Snapshot) (int, error) {
 	if snap == nil {
 		return 0, errors.New("store: cannot encode nil snapshot")
 	}
-	n, err := encodeStream(w, fw, Magic, Version, compress, func(w io.Writer) error {
+	n, err := encodeStream(w, Magic, Version, func(w io.Writer) error {
 		return writeSnapshotBody(w, snap)
 	})
 	if err != nil {
@@ -328,15 +305,8 @@ func encodeSnapshotStream(w io.Writer, fw *flate.Writer, snap *Snapshot, compres
 	return n, nil
 }
 
-// EncodeSnapshotTo streams snap to w — header line, then the JSON body,
-// optionally flate-compressed — without buffering the whole payload.
-// Returns the number of bytes written.
-func EncodeSnapshotTo(w io.Writer, snap *Snapshot, compress bool) (int, error) {
-	return encodeSnapshotStream(w, nil, snap, compress)
-}
-
 // DecodeSnapshotFrom parses a snapshot stream produced by Encode or
-// EncodeSnapshotTo, in either body encoding.
+// EncodeSnapshotTo, or a flate-bodied one an earlier revision wrote.
 func DecodeSnapshotFrom(r io.Reader) (*Snapshot, error) {
 	var snap Snapshot
 	if err := decodeStream(r, Magic, Version, &snap); err != nil {
@@ -348,13 +318,13 @@ func DecodeSnapshotFrom(r io.Reader) (*Snapshot, error) {
 	return &snap, nil
 }
 
-// encodeDeltaStream is EncodeDeltaTo with a caller-owned flate writer
-// for reuse across cuts (nil allocates one per call).
-func encodeDeltaStream(w io.Writer, fw *flate.Writer, d *Delta, compress bool) (int, error) {
+// EncodeDeltaTo streams d to w: a one-line header (magic and codec
+// version), then the JSON body. Returns bytes written.
+func EncodeDeltaTo(w io.Writer, d *Delta) (int, error) {
 	if d == nil {
 		return 0, errors.New("store: cannot encode nil delta")
 	}
-	n, err := encodeStream(w, fw, DeltaMagic, DeltaVersion, compress, func(w io.Writer) error {
+	n, err := encodeStream(w, DeltaMagic, DeltaVersion, func(w io.Writer) error {
 		return writeDeltaBody(w, d)
 	})
 	if err != nil {
@@ -363,18 +333,11 @@ func encodeDeltaStream(w io.Writer, fw *flate.Writer, d *Delta, compress bool) (
 	return n, nil
 }
 
-// EncodeDeltaTo streams d to w: a one-line header (magic, codec version,
-// optional body encoding), then the JSON body. Returns bytes written.
-func EncodeDeltaTo(w io.Writer, d *Delta, compress bool) (int, error) {
-	return encodeDeltaStream(w, nil, d, compress)
-}
-
-// EncodeDelta serializes a delta into a fresh byte slice. The write path
-// proper streams via EncodeDeltaTo (File) or a reusable Codec (Mem);
-// this form exists for tests and tooling.
+// EncodeDelta serializes a delta into a fresh byte slice. File streams
+// via EncodeDeltaTo instead; Mem and tests use this form.
 func EncodeDelta(d *Delta) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := EncodeDeltaTo(&buf, d, false); err != nil {
+	if _, err := EncodeDeltaTo(&buf, d); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil
@@ -404,46 +367,4 @@ func DecodeDeltaFrom(r io.Reader) (*Delta, error) {
 // DecodeDelta parses bytes produced by EncodeDelta/EncodeDeltaTo.
 func DecodeDelta(b []byte) (*Delta, error) {
 	return DecodeDeltaFrom(bytes.NewReader(b))
-}
-
-// Codec encodes snapshots and deltas into a reusable internal buffer,
-// amortizing buffer and flate-state allocations across checkpoint cuts.
-// The returned slice aliases the internal buffer and is valid only until
-// the next Encode* call on the same Codec. Not safe for concurrent use.
-type Codec struct {
-	// Compress selects flate body encoding for subsequent Encode* calls.
-	Compress bool
-
-	buf bytes.Buffer
-	fw  *flate.Writer
-}
-
-// flateWriter returns the reusable flate writer when compressing, else
-// nil.
-func (c *Codec) flateWriter() *flate.Writer {
-	if !c.Compress {
-		return nil
-	}
-	if c.fw == nil {
-		c.fw, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
-	return c.fw
-}
-
-// EncodeSnapshot encodes snap into the codec's buffer.
-func (c *Codec) EncodeSnapshot(snap *Snapshot) ([]byte, error) {
-	c.buf.Reset()
-	if _, err := encodeSnapshotStream(&c.buf, c.flateWriter(), snap, c.Compress); err != nil {
-		return nil, err
-	}
-	return c.buf.Bytes(), nil
-}
-
-// EncodeDelta encodes d into the codec's buffer.
-func (c *Codec) EncodeDelta(d *Delta) ([]byte, error) {
-	c.buf.Reset()
-	if _, err := encodeDeltaStream(&c.buf, c.flateWriter(), d, c.Compress); err != nil {
-		return nil, err
-	}
-	return c.buf.Bytes(), nil
 }

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -53,14 +56,57 @@ func TestDeltaCodecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestDeltaCodecCompressedRoundTrip(t *testing.T) {
-	var c Codec
-	c.Compress = true
-	d := testDelta(8)
-	cb, err := c.EncodeDelta(d)
-	if err != nil {
+// EncoderBytes is the reference encoding of a cut: the header line, then
+// the body as json.Encoder writes v, through flate at BestSpeed when
+// compress is set. v must carry its Version, which the streaming writers
+// fill in themselves. The compressed form is byte for byte what the
+// flate writer of earlier revisions wrote (flate's output does not depend
+// on how its input is split into writes), so it stands in for the
+// compressed state dirs this build still reads. Exported for the external
+// tests in this directory.
+func EncoderBytes(t testing.TB, magic string, v any, compress bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	header := fmt.Sprintf("%s v1\n", magic)
+	if compress {
+		header = fmt.Sprintf("%s v1 flate\n", magic)
+	}
+	buf.WriteString(header)
+	body := io.Writer(&buf)
+	var fw *flate.Writer
+	if compress {
+		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
+		body = fw
+	}
+	if err := json.NewEncoder(body).Encode(v); err != nil {
 		t.Fatal(err)
 	}
+	if compress {
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// flateSnapshot and flateDelta encode a cut with a flate body.
+func flateSnapshot(t testing.TB, snap *Snapshot) []byte {
+	t.Helper()
+	cp := *snap
+	cp.Version = Version
+	return EncoderBytes(t, Magic, &cp, true)
+}
+
+func flateDelta(t testing.TB, d *Delta) []byte {
+	t.Helper()
+	cp := *d
+	cp.Version = DeltaVersion
+	return EncoderBytes(t, DeltaMagic, &cp, true)
+}
+
+func TestDeltaCodecCompressedRoundTrip(t *testing.T) {
+	d := testDelta(8)
+	cb := flateDelta(t, d)
 	plain, _ := EncodeDelta(d)
 	if bytes.Equal(cb, plain) {
 		t.Fatal("compressed encoding identical to plain")
@@ -69,19 +115,15 @@ func TestDeltaCodecCompressedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Re-encoding the decoded delta uncompressed must match the plain
-	// encoding byte for byte: compression is transparent to content.
+	// Re-encoding the decoded delta must match the plain encoding byte
+	// for byte: compression is transparent to content.
 	b2, _ := EncodeDelta(got)
 	if !bytes.Equal(plain, b2) {
 		t.Fatalf("compressed round trip changed content:\n%q\nvs\n%q", plain, b2)
 	}
 
 	snap := testSnapshot(9)
-	csb, err := c.EncodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotSnap, err := Decode(csb)
+	gotSnap, err := Decode(flateSnapshot(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,18 +230,25 @@ func TestLoadChainEmptyStore(t *testing.T) {
 }
 
 func TestFileLoadChainTornTip(t *testing.T) {
-	f := mustOpenFile(t)
-	chainStore(t, f)
-	// Truncate the newest delta mid-body: the chain must stop at 6.
-	path := filepath.Join(f.Dir(), deltaName(7))
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	for _, flateBodies := range []bool{false, true} {
+		f := mustOpenFile(t)
+		chainStore(t, f)
+		if flateBodies {
+			// A flate delta torn mid-stream ends the chain the same way.
+			writeCut(t, f, deltaName(6), flateDelta(t, testDelta(6)))
+			writeCut(t, f, deltaName(7), flateDelta(t, testDelta(7)))
+		}
+		// Truncate the newest delta mid-body: the chain must stop at 6.
+		path := filepath.Join(f.Dir(), deltaName(7))
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b[:len(b)-10], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkChain(t, f, 5, 6)
 	}
-	if err := os.WriteFile(path, b[:len(b)-10], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	checkChain(t, f, 5, 6)
 }
 
 func TestFileLoadChainGap(t *testing.T) {
@@ -275,18 +324,43 @@ func TestDeltaRetentionAnchoredToFulls(t *testing.T) {
 	}
 }
 
+// writeCut replaces one checkpoint file of f's state dir with b.
+func writeCut(t *testing.T, f *File, name string, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(f.Dir(), name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFileCompressedStateDirResumes reads a state dir written partly with
+// flate bodies, as a run of an earlier revision with compression on
+// leaves it and a later run of this build extends it: the chain walks
+// flate and plain cuts alike, and each reads back as its plain encoding.
 func TestFileCompressedStateDirResumes(t *testing.T) {
 	f := mustOpenFile(t)
-	f.SetCompress(true)
 	chainStore(t, f)
-	checkChain(t, f, 5, 6, 7)
-	// Mixed encodings in one dir: a plain delta appended after
-	// compressed ones still chains.
-	f.SetCompress(false)
+	writeCut(t, f, snapshotName(5), flateSnapshot(t, testSnapshot(5)))
+	writeCut(t, f, deltaName(6), flateDelta(t, testDelta(6)))
 	if _, err := f.SaveDelta(testDelta(8)); err != nil {
 		t.Fatal(err)
 	}
 	checkChain(t, f, 5, 6, 7, 8)
+	snap, chain, err := f.LoadChain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := Encode(snap)
+	want, _ := Encode(testSnapshot(5))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("flate full read back as\n%s\nwant\n%s", got, want)
+	}
+	for _, d := range chain {
+		got, _ := EncodeDelta(d)
+		want, _ := EncodeDelta(testDelta(d.Seq))
+		if !bytes.Equal(got, want) {
+			t.Fatalf("delta %d read back as\n%s\nwant\n%s", d.Seq, got, want)
+		}
+	}
 }
 
 // TestEnvelopeEdgeCases pins the envelope writer to json.Encoder on the

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"compress/flate"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -39,11 +38,9 @@ const (
 type File struct {
 	dir string
 
-	mu       sync.Mutex
-	logF     *os.File
-	compress bool
-	fw       *flate.Writer // reused across compressed writes
-	bw       *bufio.Writer // reused across checkpoint writes
+	mu   sync.Mutex
+	logF *os.File
+	bw   *bufio.Writer // reused across checkpoint writes
 
 	// Commit-log encoder scratch, reused across appends under mu: one
 	// buffer and one encoder instead of a fresh json.Marshal slice per
@@ -65,18 +62,6 @@ func OpenFile(dir string) (*File, error) {
 
 // Dir returns the state directory this store writes to.
 func (f *File) Dir() string { return f.dir }
-
-// SetCompress selects flate body encoding for subsequent snapshot and
-// delta writes. Reads auto-detect the encoding from the file header, so
-// mixed-encoding state dirs resume fine.
-func (f *File) SetCompress(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.compress = on
-	if on && f.fw == nil {
-		f.fw, _ = flate.NewWriter(io.Discard, flate.BestSpeed)
-	}
-}
 
 func snapshotName(seq uint64) string {
 	return fmt.Sprintf("%s%08d%s", snapshotPrefix, seq, snapshotSuffix)
@@ -163,7 +148,7 @@ func (f *File) SaveSnapshot(snap *Snapshot) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	n, err := f.writeAtomicLocked(snapshotName(snap.Seq), func(w io.Writer) (int, error) {
-		return encodeSnapshotStream(w, f.fw, snap, f.compress)
+		return EncodeSnapshotTo(w, snap)
 	})
 	if err != nil {
 		return 0, err
@@ -182,7 +167,7 @@ func (f *File) SaveDelta(d *Delta) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.writeAtomicLocked(deltaName(d.Seq), func(w io.Writer) (int, error) {
-		return encodeDeltaStream(w, f.fw, d, f.compress)
+		return EncodeDeltaTo(w, d)
 	})
 }
 

@@ -23,22 +23,17 @@ import (
 //  2. Delta ≡ full, byte for byte: the input drives a live journaling
 //     provider (the deduper — pure, in-memory, every mutation class:
 //     index adds, stats-only duplicate hits) through checks and cuts.
-//     Each cut's delta crosses the real codec — buffered and streaming
-//     encoders must agree, compressed and plain must decode to the same
-//     delta — and applying it to the previous cut's state must marshal
-//     byte-identically to the full snapshot at that cut.
+//     Each cut's delta crosses the real codec — its plain encoding, or
+//     the flate-bodied form earlier revisions could write, must decode
+//     to the same delta — and applying it to the previous cut's state
+//     must marshal byte-identically to the full snapshot at that cut.
 func FuzzDeltaCodecRoundTrip(f *testing.F) {
 	seed := testDelta(7)
 	plain, err := EncodeDelta(seed)
 	if err != nil {
 		f.Fatal(err)
 	}
-	var cc Codec
-	cc.Compress = true
-	comp, err := cc.EncodeDelta(seed)
-	if err != nil {
-		f.Fatal(err)
-	}
+	comp := flateDelta(f, seed)
 	f.Add(plain)
 	f.Add(plain[:len(plain)/2]) // torn tail: body cut mid-JSON
 	f.Add(plain[:len(plain)-1]) // torn tail: final byte lost
@@ -58,7 +53,7 @@ func deltaCodecRoundTripBody(t *testing.T, data []byte) {
 	// whole snapshot, and a multi-millisecond exec makes the engine's
 	// coverage-minimization passes (60s budget each) eat the whole
 	// smoke run. 64 ops still cover adds, duplicates, and plain and
-	// compressed cuts.
+	// flate-bodied cuts.
 	if len(data) > 64 {
 		data = data[:64]
 	}
@@ -99,13 +94,12 @@ func prop2(t *testing.T, data []byte) {
 			return b
 		}
 		dd := dedup.New()
-		dd.SetDeltaJournal(true)
+		dd.SetDeltaJournal()
 		var base dedup.State
 		if err := json.Unmarshal(marshal(dd.Snapshot()), &base); err != nil {
 			t.Fatal(err)
 		}
 		var seq uint64 = 1
-		var enc Codec
 		cut := func(compress bool) {
 			seq++
 			delta, _ := dd.CutDelta()
@@ -116,20 +110,12 @@ func prop2(t *testing.T, data []byte) {
 					"dedup": {Op: OpPatch, Payload: marshal(delta)},
 				},
 			}
-			enc.Compress = compress
-			b, err := enc.EncodeDelta(sd)
+			b, err := EncodeDelta(sd)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !compress {
-				// The buffered and streaming encoders must agree bytewise.
-				sb, err := EncodeDelta(sd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(b, sb) {
-					t.Fatal("Codec.EncodeDelta and EncodeDelta disagree")
-				}
+			if compress {
+				b = flateDelta(t, sd)
 			}
 			dec, err := DecodeDelta(b)
 			if err != nil {
@@ -174,18 +160,14 @@ func prop2(t *testing.T, data []byte) {
 
 // FuzzDecodeSnapshot: DecodeSnapshotFrom never panics on arbitrary bytes
 // (torn tails, truncated flate streams, skewed headers), and any snapshot
-// it accepts round-trips through EncodeSnapshotTo: re-encoded plain or
-// compressed, it decodes to a snapshot whose plain encoding is the same
-// bytes.
+// it accepts round-trips through EncodeSnapshotTo: re-encoded and decoded
+// again, it encodes to the same bytes.
 func FuzzDecodeSnapshot(f *testing.F) {
-	var plain, comp bytes.Buffer
-	if _, err := EncodeSnapshotTo(&plain, testSnapshot(7), false); err != nil {
+	var plain bytes.Buffer
+	if _, err := EncodeSnapshotTo(&plain, testSnapshot(7)); err != nil {
 		f.Fatal(err)
 	}
-	if _, err := EncodeSnapshotTo(&comp, testSnapshot(7), true); err != nil {
-		f.Fatal(err)
-	}
-	p, c := plain.Bytes(), comp.Bytes()
+	p, c := plain.Bytes(), flateSnapshot(f, testSnapshot(7))
 	f.Add(p)
 	f.Add(p[:len(p)/2]) // torn tail: body cut mid-JSON
 	f.Add(c)
@@ -199,22 +181,20 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if err != nil {
 			return
 		}
-		encode := func(s *Snapshot, compress bool) []byte {
+		encode := func(s *Snapshot) []byte {
 			var b bytes.Buffer
-			if _, err := EncodeSnapshotTo(&b, s, compress); err != nil {
-				t.Fatalf("encode of accepted snapshot (compress=%v): %v", compress, err)
+			if _, err := EncodeSnapshotTo(&b, s); err != nil {
+				t.Fatalf("encode of accepted snapshot: %v", err)
 			}
 			return b.Bytes()
 		}
-		want := encode(snap, false)
-		for _, compress := range []bool{false, true} {
-			again, err := DecodeSnapshotFrom(bytes.NewReader(encode(snap, compress)))
-			if err != nil {
-				t.Fatalf("decode of own encoding (compress=%v): %v", compress, err)
-			}
-			if got := encode(again, false); !bytes.Equal(got, want) {
-				t.Fatalf("snapshot did not round-trip (compress=%v):\n%s\nvs\n%s", compress, got, want)
-			}
+		want := encode(snap)
+		again, err := DecodeSnapshotFrom(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("decode of own encoding: %v", err)
+		}
+		if got := encode(again); !bytes.Equal(got, want) {
+			t.Fatalf("snapshot did not round-trip:\n%s\nvs\n%s", got, want)
 		}
 	})
 }

@@ -19,30 +19,20 @@ type Mem struct {
 	deltas  []memBlob // encoded deltas, oldest first
 	entries []Entry
 	closed  bool
-	codec   Codec
 }
 
 // NewMem returns an empty in-memory store.
 func NewMem() *Mem { return &Mem{} }
 
-// SetCompress selects flate body encoding for subsequent writes.
-func (m *Mem) SetCompress(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.codec.Compress = on
-}
-
 // SaveSnapshot implements Store.
 func (m *Mem) SaveSnapshot(snap *Snapshot) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, err := m.codec.EncodeSnapshot(snap)
+	b, err := Encode(snap)
 	if err != nil {
 		return 0, err
 	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	m.snaps = append(m.snaps, memBlob{seq: snap.Seq, b: cp})
+	m.snaps = append(m.snaps, memBlob{seq: snap.Seq, b: b})
 	// Mirror the file backend's retention: latest two fulls, and only
 	// the deltas an anchored chain can still reach.
 	if len(m.snaps) > keepSnapshots {
@@ -56,21 +46,19 @@ func (m *Mem) SaveSnapshot(snap *Snapshot) (int, error) {
 		}
 	}
 	m.deltas = kept
-	return len(cp), nil
+	return len(b), nil
 }
 
 // SaveDelta implements Store.
 func (m *Mem) SaveDelta(d *Delta) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, err := m.codec.EncodeDelta(d)
+	b, err := EncodeDelta(d)
 	if err != nil {
 		return 0, err
 	}
-	cp := make([]byte, len(b))
-	copy(cp, b)
-	m.deltas = append(m.deltas, memBlob{seq: d.Seq, b: cp})
-	return len(cp), nil
+	m.deltas = append(m.deltas, memBlob{seq: d.Seq, b: b})
+	return len(b), nil
 }
 
 // LoadChain implements Store, with the same chain-walk semantics as

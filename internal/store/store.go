@@ -135,11 +135,11 @@ type Store interface {
 // Encode serializes a snapshot: a one-line header carrying the magic and
 // codec version, then the JSON body. The header is checked before the
 // body is parsed, so skew is detected even across incompatible layouts.
-// The write paths proper stream instead of buffering (EncodeSnapshotTo,
-// Codec); this form exists for tests and tooling.
+// File streams instead of buffering (EncodeSnapshotTo); Mem and tests
+// use this form.
 func Encode(snap *Snapshot) ([]byte, error) {
 	var buf bytes.Buffer
-	if _, err := EncodeSnapshotTo(&buf, snap, false); err != nil {
+	if _, err := EncodeSnapshotTo(&buf, snap); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -2,10 +2,7 @@ package store_test
 
 import (
 	"bytes"
-	"compress/flate"
 	"context"
-	"encoding/json"
-	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -19,64 +16,25 @@ import (
 	"doxmeter/internal/watchlist"
 )
 
-// encoderBytes is the reference encoding: the header line, then the body
-// as json.Encoder writes v, optionally through flate.
-func encoderBytes(t *testing.T, magic string, v any, compress bool) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	header := fmt.Sprintf("%s v1\n", magic)
-	if compress {
-		header = fmt.Sprintf("%s v1 flate\n", magic)
-	}
-	buf.WriteString(header)
-	body := io.Writer(&buf)
-	var fw *flate.Writer
-	if compress {
-		fw, _ = flate.NewWriter(&buf, flate.BestSpeed)
-		body = fw
-	}
-	if err := json.NewEncoder(body).Encode(v); err != nil {
-		t.Fatal(err)
-	}
-	if compress {
-		if err := fw.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return buf.Bytes()
-}
-
 // pinningStore checks every cut a study writes: the streaming encoders
-// and a Codec reused across cuts, plain and compressed, must write
-// exactly the reference encoding.
+// must write exactly the reference encoding.
 type pinningStore struct {
 	*store.Mem
-	t     *testing.T
-	codec store.Codec
-	cuts  int
+	t    *testing.T
+	cuts int
 }
 
-func (p *pinningStore) pin(kind string, v any, magic string, stream func(io.Writer, bool) (int, error), codec func() ([]byte, error)) {
+func (p *pinningStore) pin(kind string, v any, magic string, stream func(io.Writer) (int, error)) {
 	p.t.Helper()
 	p.cuts++
-	for _, compress := range []bool{false, true} {
-		want := encoderBytes(p.t, magic, v, compress)
-		var got bytes.Buffer
-		n, err := stream(&got, compress)
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		if n != got.Len() || !bytes.Equal(got.Bytes(), want) {
-			p.t.Fatalf("%s cut %d (compress %v): streaming encoder wrote %d bytes, reference %d", kind, p.cuts, compress, got.Len(), len(want))
-		}
-		p.codec.Compress = compress
-		b, err := codec()
-		if err != nil {
-			p.t.Fatal(err)
-		}
-		if !bytes.Equal(b, want) {
-			p.t.Fatalf("%s cut %d (compress %v): Codec wrote %d bytes, reference %d", kind, p.cuts, compress, len(b), len(want))
-		}
+	want := store.EncoderBytes(p.t, magic, v, false)
+	var got bytes.Buffer
+	n, err := stream(&got)
+	if err != nil {
+		p.t.Fatal(err)
+	}
+	if n != got.Len() || !bytes.Equal(got.Bytes(), want) {
+		p.t.Fatalf("%s cut %d: streaming encoder wrote %d bytes, reference %d", kind, p.cuts, got.Len(), len(want))
 	}
 }
 
@@ -84,8 +42,7 @@ func (p *pinningStore) SaveSnapshot(snap *store.Snapshot) (int, error) {
 	cp := *snap
 	cp.Version = store.Version
 	p.pin("snapshot", &cp, store.Magic,
-		func(w io.Writer, c bool) (int, error) { return store.EncodeSnapshotTo(w, snap, c) },
-		func() ([]byte, error) { return p.codec.EncodeSnapshot(snap) })
+		func(w io.Writer) (int, error) { return store.EncodeSnapshotTo(w, snap) })
 	return p.Mem.SaveSnapshot(snap)
 }
 
@@ -93,15 +50,13 @@ func (p *pinningStore) SaveDelta(d *store.Delta) (int, error) {
 	cp := *d
 	cp.Version = store.DeltaVersion
 	p.pin("delta", &cp, store.DeltaMagic,
-		func(w io.Writer, c bool) (int, error) { return store.EncodeDeltaTo(w, d, c) },
-		func() ([]byte, error) { return p.codec.EncodeDelta(d) })
+		func(w io.Writer) (int, error) { return store.EncodeDeltaTo(w, d) })
 	return p.Mem.SaveDelta(d)
 }
 
 // TestVerbatimEnvelopeMatchesEncoder pins the envelope writer, which
 // copies component payloads verbatim, to json.Encoder's output for every
-// cut of a real service-mode study, in full and in delta mode, plain and
-// compressed.
+// cut of a real service-mode study, in full and in delta mode.
 func TestVerbatimEnvelopeMatchesEncoder(t *testing.T) {
 	for _, mode := range []core.CheckpointMode{core.CheckpointFull, core.CheckpointDelta} {
 		mode := mode

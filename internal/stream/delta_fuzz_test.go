@@ -87,9 +87,9 @@ func FuzzServiceDeltas(f *testing.F) {
 		wl := watchlist.New(48*time.Hour, func() time.Time { return now })
 		lg := feed.NewLogRetention(4)
 		fo := &Fanout{Notify: n, Watchlist: wl, Feed: lg}
-		n.SetDeltaJournal(true)
-		wl.SetDeltaJournal(true)
-		lg.SetDeltaJournal(true)
+		n.SetDeltaJournal()
+		wl.SetDeltaJournal()
+		lg.SetDeltaJournal()
 
 		nd := &differential[notify.State, notify.Delta]{name: "notify", snap: n.Snapshot, cut: n.CutDelta}
 		wd := &differential[watchlist.State, watchlist.Delta]{name: "watchlist", snap: wl.Snapshot, cut: wl.CutDelta}

@@ -210,16 +210,13 @@ type Delta struct {
 	Removed []string         `json:"removed,omitempty"` // sorted
 }
 
-// SetDeltaJournal enables (or disables) mutation journaling for delta
-// checkpoints. Enabling starts an empty journal; with journaling off the
+// SetDeltaJournal switches mutation journaling on for delta checkpoints,
+// starting an empty journal. Journaling stays off otherwise, and the
 // watchlist pays nothing per listing.
-func (w *Watchlist) SetDeltaJournal(on bool) {
+func (w *Watchlist) SetDeltaJournal() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.journal = nil
-	if on {
-		w.journal = make(map[string]bool)
-	}
+	w.journal = make(map[string]bool)
 }
 
 // CutDelta drains the journal into a Delta covering every mutation since

@@ -174,4 +174,4 @@ outputs:
 	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
-	rm -f dox.model figure2.dot test_output.txt bench_output.txt BENCH_results.json
+	rm -f dox.model figure2.dot test_output.txt bench_output.txt

@@ -590,7 +590,7 @@ func deltaBenchSetup(b *testing.B) {
 		}
 		s, err := core.NewStudy(core.StudyConfig{Seed: 1709, Scale: benchScale,
 			Stream:     &core.StreamConfig{Fanout: fan},
-			Checkpoint: &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: core.CheckpointDelta, CompactEvery: 8}})
+			Checkpoint: &core.CheckpointConfig{Store: mem, Mode: core.CheckpointDelta}})
 		if err == nil {
 			for _, v := range s.World.Victims {
 				id := fmt.Sprintf("victim-%d", v.ID)
@@ -668,10 +668,11 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 	}
 }
 
-// BenchmarkCheckpointCompaction measures what a delta chain pays every
-// CompactEvery cuts: building and encoding the full snapshot that rebases
-// the chain. Amortized over the cuts between fulls this bounds both
-// recovery replay length and total state-dir growth.
+// BenchmarkCheckpointCompaction measures what a delta chain pays at each
+// compaction: building and encoding the full snapshot that rebases the
+// chain once the deltas since the last full outweigh it. Amortized over
+// the cuts between fulls this bounds both recovery replay length and
+// total state-dir growth.
 func BenchmarkCheckpointCompaction(b *testing.B) {
 	deltaBenchSetup(b)
 	s := deltaBenchS

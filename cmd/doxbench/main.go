@@ -12,11 +12,9 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"time"
 
-	"doxmeter/internal/classifier"
 	"doxmeter/internal/core"
 	"doxmeter/internal/experiments"
 	"doxmeter/internal/netid"
@@ -29,7 +27,6 @@ func main() {
 		parallelism = flag.Int("parallelism", 0, "pipeline worker-pool size (0 = GOMAXPROCS, 1 = sequential); any value yields identical results")
 		progress    = flag.Bool("progress", false, "print per-day study progress to stderr")
 		dotPath     = flag.String("dot", "", "write the Figure 2 clique graph as Graphviz DOT to this file")
-		classifyN   = flag.Int("classify-bench", 0, "instead of the full study, time N classifications through the fused kernel and the reference path, then exit")
 	)
 	flag.Parse()
 
@@ -43,10 +40,6 @@ func main() {
 		fatal(err)
 	}
 	defer s.Close()
-	if *classifyN > 0 {
-		classifyBench(s, *classifyN)
-		return
-	}
 	fmt.Fprintf(os.Stderr, "world + classifier ready in %v; running two collection periods...\n", time.Since(start).Round(time.Millisecond))
 	if err := s.Run(context.Background()); err != nil {
 		fatal(err)
@@ -96,47 +89,6 @@ func main() {
 
 	store := s.BuildStore("doxbench-salt")
 	fmt.Printf("privacy store: %d sanitized records (categories + salted digests only; §3.3)\n", store.Len())
-}
-
-// classifyBench times N classifications of one rendered dox document through
-// the fused kernel and through the reference Transform+Decision path, prints
-// both rates, and cross-checks that every margin matched bit for bit.
-func classifyBench(s *core.Study, n int) {
-	r := rand.New(rand.NewSource(5))
-	doc := s.Gen.Dox(r, s.World.TrainVictims[0]).Body
-
-	var res classifier.Result
-	s.Classifier.ScoreInto(doc, &res) // warm pooled scratch
-	mismatches := 0
-
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		s.Classifier.ScoreInto(doc, &res)
-	}
-	fused := time.Since(start)
-
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		if s.Classifier.ScoreReference(doc) != res.Score {
-			mismatches++
-		}
-	}
-	ref := time.Since(start)
-
-	perOp := func(d time.Duration) string {
-		return fmt.Sprintf("%8.0f ns/op (%7.0f docs/s)",
-			float64(d.Nanoseconds())/float64(n), float64(n)/d.Seconds())
-	}
-	fmt.Printf("classify bench: %d iterations over a %d-byte dox render\n", n, len(doc))
-	fmt.Printf("  fused kernel:   %s\n", perOp(fused))
-	fmt.Printf("  reference path: %s\n", perOp(ref))
-	if ref > 0 && fused > 0 {
-		fmt.Printf("  speedup:        %.1fx\n", float64(ref)/float64(fused))
-	}
-	if mismatches > 0 {
-		fatal(fmt.Errorf("%d/%d margins diverged between kernels", mismatches, n))
-	}
-	fmt.Println("  margins bit-identical across both paths")
 }
 
 func fatal(err error) {

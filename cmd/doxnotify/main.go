@@ -6,18 +6,18 @@
 //
 //	doxnotify [-scale 0.02] [-seed 42] [-addr 127.0.0.1:8421] [-salt s] [-admin addr]
 //	          [-faults off] [-progress]
-//	          [-state-dir dir] [-checkpoint-every 1] [-resume]
+//	          [-state-dir dir] [-resume]
 //
 // It runs the study in service mode: the three services are live from the
 // first virtual day — every committed detection fans out to them as its
 // day commits — and the HTTP API serves throughout the run. After the
 // study's two periods complete the services keep serving their final
 // state. A first SIGINT/SIGTERM stops at the next day boundary after a
-// final checkpoint; a second aborts. With -state-dir the run is durable
-// and -resume continues a killed service — including the notification
-// registry, watchlist and feed state — from its last checkpoint (keep
-// -salt identical across restarts: digests are salted and the salt is
-// never persisted).
+// final checkpoint; a second aborts. With -state-dir the run is durable,
+// checkpointed at the end of every study day, and -resume continues a
+// killed service — including the notification registry, watchlist and
+// feed state — from its last checkpoint (keep -salt identical across
+// restarts: digests are salted and the salt is never persisted).
 //
 // Endpoints:
 //

@@ -5,22 +5,20 @@
 // Usage:
 //
 //	doxpipeline [-scale 0.05] [-seed 42] [-parallelism 0] [-faults off] [-progress] [-json]
-//	            [-state-dir dir] [-checkpoint-every 1] [-checkpoint-mode full|delta]
-//	            [-compact-every 0] [-resume]
+//	            [-state-dir dir] [-checkpoint-mode full|delta] [-resume]
 //	            [-admin addr] [-traces out.jsonl]
 //
-// With -state-dir the study is durable: every -checkpoint-every study days
-// (and at period ends) the pipeline state is checkpointed into the
-// directory. -checkpoint-mode=full writes a complete snapshot each cut;
-// -checkpoint-mode=delta writes compact incremental diffs against the
-// previous cut, with full compaction snapshots bounding the recovery
-// chain: by default once the deltas since the last full add up to its
-// size, or every -compact-every deltas when that is positive. SIGINT/SIGTERM stops the run at the next day
-// boundary after a final checkpoint; a second signal aborts immediately,
-// losing at most the day in flight. -resume continues a killed run from its
-// last checkpoint — replaying the delta chain when present — producing
-// output bit-identical to an uninterrupted run. Both modes read each
-// other's state dirs.
+// With -state-dir the study is durable: at the end of every study day the
+// pipeline state is checkpointed into the directory. -checkpoint-mode=full
+// writes a complete snapshot each day; -checkpoint-mode=delta writes
+// compact incremental diffs against the previous day, and a full
+// compaction snapshot, cut once the deltas since the last full add up to
+// its size, bounds the recovery chain. SIGINT/SIGTERM stops the run at
+// the next day boundary after a final checkpoint; a second signal aborts
+// immediately, losing at most the day in flight. -resume continues a
+// killed run from its last checkpoint — replaying the delta chain when
+// present — producing output bit-identical to an uninterrupted run. Both
+// modes read each other's state dirs.
 //
 // The study is always instrumented on a telemetry hub; the exit-time
 // counters in the stderr summary and the -json output are read from that

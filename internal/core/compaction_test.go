@@ -1,10 +1,10 @@
 package core_test
 
-// Byte-rule compaction and chain replay: with CompactEvery 0 a delta-mode
-// study writes a full snapshot once the deltas since the last full add up
-// to that full's encoded size. These tests pin the rule against the count
-// rule, prove that killed runs reproduce the uninterrupted run's files,
-// and replay chains in the form earlier revisions wrote.
+// Byte-rule compaction and chain replay: a delta-mode study writes a full
+// snapshot once the deltas since the last full add up to that full's
+// encoded size. These tests pin the rule from the commit log's sizes,
+// prove that killed runs reproduce the uninterrupted run's files whatever
+// the log lost, and replay chains in the form earlier revisions wrote.
 
 import (
 	"bytes"
@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -76,51 +77,86 @@ func fullSeqs(t *testing.T, st store.Store) []uint64 {
 	return seqs
 }
 
-// runServiceDir runs a service-mode study against a file store in dir in
-// legs stopping at the absolute days in cuts, each leg with freshly built
-// services, and returns the store (closed by the test's cleanup).
-func runServiceDir(t *testing.T, dir string, compactEvery int, cuts []int) *store.File {
+// cutsAfter lists the cuts a commit log records above seq, in log order,
+// as "kind seq bytes".
+func cutsAfter(t *testing.T, st store.Store, seq uint64) []string {
 	t.Helper()
-	fs, err := store.OpenFile(dir)
+	entries, err := st.Entries()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { fs.Close() })
-	ck := deltaCkpt(fs, compactEvery)
-	prev := 0
-	for _, cut := range cuts {
-		deltaLeg(t, streamCfg(1, false), ck, prev, cut)
-		prev = cut
+	var cuts []string
+	for _, e := range entries {
+		if (e.Kind == store.KindSnapshot || e.Kind == store.KindDelta) && e.Seq > seq {
+			cuts = append(cuts, fmt.Sprintf("%s %d %d", e.Kind, e.Seq, e.Bytes))
+		}
 	}
-	deltaLeg(t, streamCfg(1, false), ck, prev, 0)
-	return fs
+	return cuts
 }
 
-// TestDeltaByteCompaction: a default-config delta-mode run (CompactEvery
-// 0) compacts by bytes and writes fewer fulls than the same run at
-// CompactEvery 8. Runs killed just before and just after a byte-triggered
-// compaction — and one whose commit log lost the entry of the cut it
-// stopped at, so resume re-encodes the chain to recover the byte count —
-// end with the uninterrupted run's checkpoint files and tip, and that
-// tip is the full-mode run's final snapshot byte for byte.
+// checkByteRule asserts the byte compaction rule from the sizes a commit
+// log records for an uninterrupted run's cuts: one cut per study day, the
+// first a full, and after it a full exactly when the deltas since the
+// last full add up to at least that full's bytes.
+func checkByteRule(t *testing.T, st store.Store) {
+	t.Helper()
+	entries, err := st.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts, full, sum := 0, 0, 0
+	for _, e := range entries {
+		switch e.Kind {
+		case store.KindSnapshot:
+			if cuts > 0 && sum < full {
+				t.Fatalf("full %d follows %d delta bytes, under its predecessor's %d", e.Seq, sum, full)
+			}
+			full, sum = e.Bytes, 0
+		case store.KindDelta:
+			if cuts == 0 || sum >= full {
+				t.Fatalf("delta %d follows %d delta bytes; the last full holds %d", e.Seq, sum, full)
+			}
+			sum += e.Bytes
+		default:
+			continue
+		}
+		if cuts++; e.Seq != uint64(cuts) || e.Bytes <= 0 {
+			t.Fatalf("cut entry %d is %+v", cuts, e)
+		}
+	}
+	if cuts != totalDays {
+		t.Fatalf("commit log records %d cuts, want one per study day (%d)", cuts, totalDays)
+	}
+}
+
+// TestDeltaByteCompaction: a delta-mode run compacts by bytes, as its
+// commit log's sizes show. Runs killed just before and just after a
+// compaction, one whose commit log lost the entry of the cut it stopped
+// at and one whose log lost every cut entry end with the uninterrupted
+// run's checkpoint files and tip: resume sizes the chain from the cuts
+// it loads, never from the log. That tip is the full-mode run's final
+// snapshot byte for byte.
 func TestDeltaByteCompaction(t *testing.T) {
 	t.Parallel()
-	ref := runServiceDir(t, t.TempDir(), 0, nil)
-	byCount := runServiceDir(t, t.TempDir(), 8, nil)
-	fulls, countFulls := fullSeqs(t, ref), fullSeqs(t, byCount)
-	t.Logf("byte rule wrote fulls at %v; CompactEvery 8 wrote %d", fulls, len(countFulls))
-	if len(fulls) < 2 {
-		t.Fatalf("byte rule wrote fulls at %v; the run never compacted, so the kills below prove nothing", fulls)
+	ref, err := store.OpenFile(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(fulls) >= len(countFulls) {
-		t.Fatalf("byte rule wrote %d fulls, CompactEvery 8 wrote %d; want fewer", len(fulls), len(countFulls))
+	defer ref.Close()
+	deltaLeg(t, streamCfg(1, false), deltaCkpt(ref), 0, 0)
+	checkByteRule(t, ref)
+	fulls := fullSeqs(t, ref)
+	t.Logf("byte rule wrote fulls at %v", fulls)
+	if len(fulls) < 3 {
+		t.Fatalf("byte rule wrote fulls at %v; the kills below need a compaction past the first", fulls)
 	}
 	want := ckptFiles(t, ref.Dir())
 	wantTip := tipBytes(t, ref)
+	wantCuts := cutsAfter(t, ref, 0)
 
 	// The full-mode run's final snapshot is the tip the chain rebuilds.
 	mem := store.NewMem()
-	full := newDurableStudyCkpt(t, streamCfg(1, false), &core.CheckpointConfig{Store: mem, EveryDays: 1})
+	full := newDurableStudyCkpt(t, streamCfg(1, false), &core.CheckpointConfig{Store: mem})
 	if err := full.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +173,17 @@ func TestDeltaByteCompaction(t *testing.T) {
 		t.Fatal("delta-mode tip differs from the full-mode final snapshot")
 	}
 
-	c := int(fulls[len(fulls)/2]) // seq == absolute day at EveryDays 1
+	c := int(fulls[len(fulls)/2]) // seq == absolute day: one cut per day
 	for _, tc := range []struct {
-		name    string
-		stop    int
-		dropLog bool
+		name string
+		stop int
+		// damage edits the commit log between the legs.
+		damage func(t *testing.T, path string)
 	}{
-		{"before-compaction", c - 1, false},
-		{"after-compaction", c, false},
-		{"log-lost-before-compaction", c - 1, true},
+		{"before-compaction", c - 1, nil},
+		{"after-compaction", c, nil},
+		{"log-lost-before-compaction", c - 1, dropLastCutEntry},
+		{"log-stripped-before-compaction", c - 1, dropCutEntries},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -156,10 +194,10 @@ func TestDeltaByteCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fs.Close()
-			ck := deltaCkpt(fs, 0)
+			ck := deltaCkpt(fs)
 			deltaLeg(t, streamCfg(1, false), ck, 0, tc.stop)
-			if tc.dropLog {
-				dropLastCutEntry(t, filepath.Join(dir, "commits.log"))
+			if tc.damage != nil {
+				tc.damage(t, filepath.Join(dir, "commits.log"))
 			}
 			deltaLeg(t, streamCfg(1, false), ck, tc.stop, 0)
 			got := ckptFiles(t, dir)
@@ -174,6 +212,12 @@ func TestDeltaByteCompaction(t *testing.T) {
 			if !bytes.Equal(tipBytes(t, fs), wantTip) {
 				t.Fatal("tip differs from the uninterrupted run's")
 			}
+			// Retention keeps only the last two fulls, so the files alone
+			// miss a schedule that diverged and re-converged; the cuts the
+			// resumed leg logged must be the uninterrupted run's.
+			if got := cutsAfter(t, fs, uint64(tc.stop)); !slices.Equal(got, wantCuts[tc.stop:]) {
+				t.Fatalf("resumed leg cut %v, want %v", got, wantCuts[tc.stop:])
+			}
 		})
 	}
 }
@@ -187,83 +231,140 @@ func sortedNames(m map[string][]byte) []string {
 	return names
 }
 
+// isCutEntry reports whether a commit-log line records a snapshot or a
+// delta.
+func isCutEntry(line string) bool {
+	var e store.Entry
+	return json.Unmarshal([]byte(line), &e) == nil && (e.Kind == store.KindDelta || e.Kind == store.KindSnapshot)
+}
+
 // dropLastCutEntry removes the newest snapshot or delta entry from a
 // commit log, as a kill between the file's rename and its log append
 // would have left it.
 func dropLastCutEntry(t *testing.T, path string) {
 	t.Helper()
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(b), "\n")
+	lines := logLines(t, path)
 	for i := len(lines) - 1; i >= 0; i-- {
-		var e store.Entry
-		if json.Unmarshal([]byte(lines[i]), &e) == nil && (e.Kind == store.KindDelta || e.Kind == store.KindSnapshot) {
-			lines = append(lines[:i], lines[i+1:]...)
-			if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
-				t.Fatal(err)
-			}
+		if isCutEntry(lines[i]) {
+			writeLogLines(t, path, append(lines[:i], lines[i+1:]...))
 			return
 		}
 	}
 	t.Fatal("commit log holds no cut entry")
 }
 
-// TestDeltaReplaysParentFormatChain: a chain in the form earlier
+// dropCutEntries removes every snapshot and delta entry from a commit
+// log, keeping its day and lifecycle entries.
+func dropCutEntries(t *testing.T, path string) {
+	t.Helper()
+	lines := logLines(t, path)
+	kept := lines[:0]
+	for _, l := range lines {
+		if !isCutEntry(l) {
+			kept = append(kept, l)
+		}
+	}
+	if len(kept) == len(lines) {
+		t.Fatal("commit log holds no cut entry")
+	}
+	writeLogLines(t, path, kept)
+}
+
+func logLines(t *testing.T, path string) []string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.SplitAfter(string(b), "\n")
+}
+
+func writeLogLines(t *testing.T, path string, lines []string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// cutRecorder is a Mem store that also keeps every cut a study saves, so
+// a test can replay each chain segment — a full and the deltas above it —
+// after retention has pruned the older ones.
+type cutRecorder struct {
+	*store.Mem
+	fulls  []*store.Snapshot
+	deltas []*store.Delta
+}
+
+func (r *cutRecorder) SaveSnapshot(snap *store.Snapshot) (int, error) {
+	r.fulls = append(r.fulls, snap)
+	return r.Mem.SaveSnapshot(snap)
+}
+
+func (r *cutRecorder) SaveDelta(d *store.Delta) (int, error) {
+	r.deltas = append(r.deltas, d)
+	return r.Mem.SaveDelta(d)
+}
+
+// TestDeltaReplaysParentFormatChain: chains in the form earlier
 // revisions wrote — every touched monitor history upserted whole, every
-// service carried whole in every delta — replays to the same tip, byte
-// for byte, as the chain this revision writes.
+// service carried whole in every delta — replay to the same tips, byte
+// for byte, as the chains this revision writes. Every segment of a whole
+// run is replayed: each full the byte rule wrote with the deltas above it.
 func TestDeltaReplaysParentFormatChain(t *testing.T) {
 	t.Parallel()
-	mem := store.NewMem()
-	s := newDurableStudyCkpt(t, streamCfg(1, false), deltaCkpt(mem, 1000))
+	rec := &cutRecorder{Mem: store.NewMem()}
+	s := newDurableStudyCkpt(t, streamCfg(1, false), deltaCkpt(rec))
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	base, deltas, err := mem.LoadChain()
-	if err != nil {
-		t.Fatal(err)
+	if len(rec.fulls) < 2 || len(rec.fulls)+len(rec.deltas) != totalDays {
+		t.Fatalf("run cut %d fulls and %d deltas, want %d cuts and a compaction", len(rec.fulls), len(rec.deltas), totalDays)
 	}
-	if len(deltas) < 90 {
-		t.Fatalf("chain holds %d deltas, want the whole run", len(deltas))
-	}
-	old := make([]*store.Delta, len(deltas))
-	state := base
 	sawAppends := false
-	for i, d := range deltas {
-		if state, err = core.ApplyDeltaChain(state, deltas[i:i+1]); err != nil {
+	for i, base := range rec.fulls {
+		var deltas []*store.Delta
+		for _, d := range rec.deltas {
+			if d.Seq > base.Seq && (i+1 == len(rec.fulls) || d.Seq < rec.fulls[i+1].Seq) {
+				deltas = append(deltas, d)
+			}
+		}
+		old := make([]*store.Delta, len(deltas))
+		state := base
+		for j, d := range deltas {
+			var err error
+			if state, err = core.ApplyDeltaChain(state, deltas[j:j+1]); err != nil {
+				t.Fatal(err)
+			}
+			od := *d
+			od.Components = map[string]store.ComponentDelta{}
+			for key, cd := range d.Components {
+				switch {
+				case strings.HasPrefix(key, "service/"):
+					cd = store.ComponentDelta{Op: store.OpFull, Payload: state.Components[key]}
+				case key == "monitor" && cd.Op == store.OpPatch:
+					cd.Payload, sawAppends = wholeUpserts(t, cd.Payload, state.Components[key], sawAppends)
+				}
+				od.Components[key] = cd
+			}
+			old[j] = &od
+		}
+		want, err := core.ApplyDeltaChain(base, deltas)
+		if err != nil {
 			t.Fatal(err)
 		}
-		od := *d
-		od.Components = map[string]store.ComponentDelta{}
-		for key, cd := range d.Components {
-			switch {
-			case strings.HasPrefix(key, "service/"):
-				cd = store.ComponentDelta{Op: store.OpFull, Payload: state.Components[key]}
-			case key == "monitor" && cd.Op == store.OpPatch:
-				cd.Payload, sawAppends = wholeUpserts(t, cd.Payload, state.Components[key], sawAppends)
-			}
-			od.Components[key] = cd
+		got, err := core.ApplyDeltaChain(base, old)
+		if err != nil {
+			t.Fatal(err)
 		}
-		old[i] = &od
+		wb, _ := store.Encode(want)
+		gb, _ := store.Encode(got)
+		if !bytes.Equal(wb, gb) {
+			t.Fatalf("parent-format chain of %d deltas above full %d replayed to a different tip", len(deltas), base.Seq)
+		}
 	}
 	if !sawAppends {
 		t.Fatal("no monitor patch carried appends; the conversion proved nothing")
-	}
-	want, err := core.ApplyDeltaChain(base, deltas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := core.ApplyDeltaChain(base, old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, _ := store.Encode(want)
-	gb, _ := store.Encode(got)
-	if !bytes.Equal(wb, gb) {
-		t.Fatal("parent-format chain replayed to a different tip")
 	}
 }
 

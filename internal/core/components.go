@@ -96,7 +96,7 @@ func (s *Study) buildComponents() {
 	for _, b := range s.crawlers.boards {
 		b := b
 		s.components = append(s.components, newComponent("crawler/"+b.SiteName, false, b.Snapshot,
-			func(st crawler.BoardState) error { b.Restore(st); return nil }, b.SetDeltaJournal, b.CutDelta))
+			s.restoreBoard(b), b.SetDeltaJournal, b.CutDelta))
 	}
 	f := s.fanout
 	if f == nil {

@@ -24,12 +24,9 @@ import (
 )
 
 // deltaCkpt is the checkpoint policy the delta suite runs under: a cut
-// every study day, compaction every compactEvery cuts.
-func deltaCkpt(st store.Store, compactEvery int) *core.CheckpointConfig {
-	return &core.CheckpointConfig{
-		Store: st, EveryDays: 1,
-		Mode: core.CheckpointDelta, CompactEvery: compactEvery,
-	}
+// every study day, a compaction once the deltas outweigh the last full.
+func deltaCkpt(st store.Store) *core.CheckpointConfig {
+	return &core.CheckpointConfig{Store: st, Mode: core.CheckpointDelta}
 }
 
 // absDays converts a ResumeInfo position into the absolute count of
@@ -50,15 +47,14 @@ func absDays(info core.ResumeInfo) int {
 // uninterrupted run, against both store backends.
 func TestDeltaResumeBitIdentical(t *testing.T) {
 	cases := []struct {
-		name         string
-		parallelism  int
-		mild         bool
-		compactEvery int
-		file         bool
-		cuts         []int
+		name        string
+		parallelism int
+		mild        bool
+		file        bool
+		cuts        []int
 	}{
-		{"par1-mem", 1, false, 4, false, []int{10, p1Days, 60}},
-		{"par0-faults-file", 0, true, 3, true, []int{25, 70}},
+		{"par1-mem", 1, false, false, []int{10, p1Days, 60}},
+		{"par0-faults-file", 0, true, true, []int{25, 70}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -74,7 +70,7 @@ func TestDeltaResumeBitIdentical(t *testing.T) {
 				defer fs.Close()
 				st = fs
 			}
-			s := runChainCkpt(t, resumeCfg(tc.parallelism, tc.mild), deltaCkpt(st, tc.compactEvery), tc.cuts)
+			s := runChainCkpt(t, resumeCfg(tc.parallelism, tc.mild), deltaCkpt(st), tc.cuts)
 			compareStudies(t, base.s, s, base.tables, renderAnalyses(s))
 		})
 	}
@@ -134,8 +130,7 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 	}
 	defer fs.Close()
 	cfg := resumeCfg(1, false)
-	// CompactEvery 4 ⇒ fulls at cuts 1, 6, 11, ... (5k+1), deltas between.
-	ck := deltaCkpt(fs, 4)
+	ck := deltaCkpt(fs)
 
 	ckptPath := func(prefix string, seq int) string {
 		return filepath.Join(dir, fmt.Sprintf("%s%08d.ckpt", prefix, seq))
@@ -151,9 +146,9 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 		}
 	}
 
-	// Leg 1: fresh start, stop at day 18 (seq == absolute day at
-	// EveryDays 1). Deflate its cuts, then the torn tail: truncate the
-	// newest delta.
+	// Leg 1: fresh start, stop at day 18 (seq == absolute day: one cut
+	// per day). Deflate its cuts, then the torn tail: truncate the newest
+	// delta.
 	deltaLeg(t, cfg, ck, 0, 18)
 	cuts, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil || len(cuts) == 0 {
@@ -176,13 +171,19 @@ func TestDeltaKillAnywhereDamage(t *testing.T) {
 	}
 
 	// Leg 3: resume lands on day 39; the stray temp is ignored. Stop at
-	// 55 and tear the newest compaction full (snapshot-51) mid-write.
+	// 55 and tear the newest compaction full mid-write. The byte rule
+	// placed it; the commit log says where.
 	deltaLeg(t, cfg, ck, 39, 55)
-	truncate(51, "snapshot-")
+	fulls := fullSeqs(t, fs)
+	if len(fulls) < 2 {
+		t.Fatalf("fulls by day 55 at %v; need a compaction full with a predecessor to tear", fulls)
+	}
+	torn := int(fulls[len(fulls)-1])
+	truncate(torn, "snapshot-")
 
-	// Final leg: the chain walks the previous full (46) and its deltas
-	// (47–50), resuming at day 50, and runs to completion.
-	s := deltaLeg(t, cfg, ck, 50, 0)
+	// Final leg: the chain walks the previous full and its deltas,
+	// resuming at the cut below the torn full, and runs to completion.
+	s := deltaLeg(t, cfg, ck, torn-1, 0)
 	compareStudies(t, base.s, s, base.tables, renderAnalyses(s))
 }
 
@@ -232,7 +233,7 @@ func TestDeltaFileStoreDurableRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newDurableStudyCkpt(t, resumeCfg(1, false), deltaCkpt(fs, 5))
+	s := newDurableStudyCkpt(t, resumeCfg(1, false), deltaCkpt(fs))
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +274,11 @@ func TestCheckpointModeSwitchMidChain(t *testing.T) {
 	base := getBaseline(t, false)
 	mem := store.NewMem()
 	cfg := resumeCfg(1, false)
-	full := &core.CheckpointConfig{Store: mem, EveryDays: 1}
+	full := &core.CheckpointConfig{Store: mem}
 
-	deltaLeg(t, cfg, deltaCkpt(mem, 4), 0, 20) // delta-mode leg
-	deltaLeg(t, cfg, full, 20, 50)             // full-mode leg resumes the delta chain
-	s := deltaLeg(t, cfg, deltaCkpt(mem, 4), 50, 0)
+	deltaLeg(t, cfg, deltaCkpt(mem), 0, 20) // delta-mode leg
+	deltaLeg(t, cfg, full, 20, 50)          // full-mode leg resumes the delta chain
+	s := deltaLeg(t, cfg, deltaCkpt(mem), 50, 0)
 	compareStudies(t, base.s, s, base.tables, renderAnalyses(s))
 }
 
@@ -285,7 +286,7 @@ func TestCheckpointModeSwitchMidChain(t *testing.T) {
 func TestDeltaConfigValidation(t *testing.T) {
 	t.Parallel()
 	valid := resumeCfg(1, false)
-	valid.Checkpoint = deltaCkpt(store.NewMem(), 3)
+	valid.Checkpoint = deltaCkpt(store.NewMem())
 	if err := valid.Validate(); err != nil {
 		t.Errorf("delta mode on Mem rejected: %v", err)
 	}
@@ -295,7 +296,6 @@ func TestDeltaConfigValidation(t *testing.T) {
 		ck   *core.CheckpointConfig
 	}{
 		{"unknown mode", &core.CheckpointConfig{Store: store.NewMem(), Mode: "differential"}},
-		{"negative CompactEvery", &core.CheckpointConfig{Store: store.NewMem(), CompactEvery: -1}},
 	}
 	for _, tc := range cases {
 		cfg := resumeCfg(1, false)

@@ -140,7 +140,7 @@ func (w *stopAfter) Write(p []byte) (int, error) {
 
 func newDurableStudy(t *testing.T, cfg core.StudyConfig, st store.Store) *core.Study {
 	t.Helper()
-	return newDurableStudyCkpt(t, cfg, &core.CheckpointConfig{Store: st, EveryDays: 1})
+	return newDurableStudyCkpt(t, cfg, &core.CheckpointConfig{Store: st})
 }
 
 func newDurableStudyCkpt(t *testing.T, cfg core.StudyConfig, ck *core.CheckpointConfig) *core.Study {
@@ -159,11 +159,11 @@ func newDurableStudyCkpt(t *testing.T, cfg core.StudyConfig, ck *core.Checkpoint
 // runs to completion. Returns the completed study.
 func runChain(t *testing.T, cfg core.StudyConfig, st store.Store, cuts []int) *core.Study {
 	t.Helper()
-	return runChainCkpt(t, cfg, &core.CheckpointConfig{Store: st, EveryDays: 1}, cuts)
+	return runChainCkpt(t, cfg, &core.CheckpointConfig{Store: st}, cuts)
 }
 
-// runChainCkpt is runChain with an explicit checkpoint policy (mode,
-// cadence, compaction), shared with the delta-mode suite.
+// runChainCkpt is runChain with an explicit checkpoint mode, shared with
+// the delta-mode suite.
 func runChainCkpt(t *testing.T, cfg core.StudyConfig, ck *core.CheckpointConfig, cuts []int) *core.Study {
 	t.Helper()
 	prev := 0
@@ -613,6 +613,45 @@ func TestResumeValidation(t *testing.T) {
 	other.Close()
 }
 
+// TestResumeReportsUnreadableLog: Resume cross-checks the snapshot's
+// rolling digest against the commit log, so a log it cannot read must
+// fail the resume. Before, the read error was dropped and the state dir
+// resumed with no tamper check at all.
+func TestResumeReportsUnreadableLog(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	fileStore, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newDurableStudy(t, resumeCfg(1, false), fileStore)
+	if err := s.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	if err := fileStore.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	logPath := filepath.Join(dir, "commits.log")
+	if err := os.Remove(logPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(logPath, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	resumed := newDurableStudy(t, resumeCfg(1, false), reopened)
+	defer resumed.Close()
+	if info, err := resumed.Resume(); err == nil {
+		t.Fatalf("Resume over an unreadable commit log = %+v, nil; want an error", info)
+	}
+}
+
 // TestResumeRejectsNegativeNextIdx: a state dir whose monitor component
 // carries a negative schedule position (corruption or tampering) must make
 // Resume fail. Accepting it left Run to panic with an index out of range
@@ -659,18 +698,31 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor
-// lies outside [0, the snapshot's virtual time], whose monitor holds an
-// observation with a status osn does not define, whose feed's event seqs
-// skip or start below 1, or whose funnel, dedup or notification registry
-// holds a negative counter must make Resume fail, whether the bad value
-// sits in a full snapshot or in the tip of a delta chain. Before the
-// check, a cursor of 2^40 resumed and silently stopped collection, and a
-// feed seq gap replayed old events to a consumer as new ones.
+// TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor or
+// board thread watermark lies outside [0, the snapshot's virtual time],
+// whose monitor holds an observation with a status osn does not define,
+// whose feed's event seqs skip or start below 1, or whose funnel, dedup
+// or notification registry holds a negative counter must make Resume
+// fail, whether the bad value sits in a full snapshot or in the tip of a
+// delta chain. Before the check, a cursor of 2^40 resumed and silently
+// stopped collection, a board watermark of 2^40 silently hid every new
+// reply in its thread, and a feed seq gap replayed old events to a
+// consumer as new ones.
 func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	t.Parallel()
 	setCursor := func(c float64) func(map[string]any) int {
 		return func(v map[string]any) int { v["cursor"] = c; return 1 }
+	}
+	// Full board state and board delta both map thread numbers to
+	// watermarks under "last_mod".
+	setLastMod := func(lm float64) func(map[string]any) int {
+		return func(v map[string]any) int {
+			marks, _ := v["last_mod"].(map[string]any)
+			for no := range marks {
+				marks[no] = lm
+			}
+			return len(marks)
+		}
 	}
 	// Full monitor state lists "histories"; a delta patch lists new
 	// histories under "upserts" and scraped ones under "appends".
@@ -756,32 +808,37 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 			return 1
 		}
 	}
-	// onDox stops the run on a day that commits a unique dox: only such a
-	// day changes the services and the dedup counters, so only then does
-	// the tip delta carry them.
+	// stop is the number of days a run commits before it stops; onDox
+	// (0) stops it on a day that commits a unique dox instead: only such
+	// a day changes the services and the dedup counters, so only then
+	// does the tip delta carry them. Boards are crawled in period 2 only,
+	// so their runs stop there.
+	const onDox, board = 0, p1Days + 5
 	tampers := []struct {
 		name, comp string
 		edit       func(map[string]any) int
-		onDox      bool
+		stop       int
 	}{
-		{"negative-cursor", "crawler/pastebin", setCursor(-1), false},
-		{"future-cursor", "crawler/pastebin", setCursor(1 << 40), false},
-		{"unknown-status", "monitor", setStatus(7), false},
-		{"negative-status", "monitor", setStatus(-1), false},
-		{"feed-seq-gap", "service/feed", seqGap, true},
-		{"feed-seq-zero", "service/feed", seqZero, true},
-		{"notify-negative-ingested", "service/notify", setCounter("ingested"), true},
-		{"notify-negative-notified", "service/notify", setCounter("notified"), true},
-		{"notify-negative-dropped", "service/notify", setCounter("dropped"), true},
-		{"core-negative-collected", "core", setCounter("collected"), false},
-		{"core-negative-collected-by-site", "core", setEntries("collected_by_site"), false},
-		{"core-negative-flagged", "core", setEntries("flagged_by_period"), false},
-		{"core-negative-poll-failures", "core", setEntry("poll_failures", "pastebin"), false},
-		{"core-negative-monitor-failures", "core", setCounter("monitor_failures"), false},
-		{"core-negative-days-done", "core", setCounter("days_done"), false},
-		{"dedup-negative-unique", "dedup", setStat("Unique"), true},
-		{"dedup-negative-exact-dups", "dedup", setStat("ExactDups"), true},
-		{"dedup-negative-account-dups", "dedup", setStat("AccntDups"), true},
+		{"negative-cursor", "crawler/pastebin", setCursor(-1), 8},
+		{"future-cursor", "crawler/pastebin", setCursor(1 << 40), 8},
+		{"board-negative-last-mod", "crawler/4chan/b", setLastMod(-1), board},
+		{"board-future-last-mod", "crawler/4chan/b", setLastMod(1 << 40), board},
+		{"unknown-status", "monitor", setStatus(7), 8},
+		{"negative-status", "monitor", setStatus(-1), 8},
+		{"feed-seq-gap", "service/feed", seqGap, onDox},
+		{"feed-seq-zero", "service/feed", seqZero, onDox},
+		{"notify-negative-ingested", "service/notify", setCounter("ingested"), onDox},
+		{"notify-negative-notified", "service/notify", setCounter("notified"), onDox},
+		{"notify-negative-dropped", "service/notify", setCounter("dropped"), onDox},
+		{"core-negative-collected", "core", setCounter("collected"), 8},
+		{"core-negative-collected-by-site", "core", setEntries("collected_by_site"), 8},
+		{"core-negative-flagged", "core", setEntries("flagged_by_period"), 8},
+		{"core-negative-poll-failures", "core", setEntry("poll_failures", "pastebin"), 8},
+		{"core-negative-monitor-failures", "core", setCounter("monitor_failures"), 8},
+		{"core-negative-days-done", "core", setCounter("days_done"), 8},
+		{"dedup-negative-unique", "dedup", setStat("Unique"), onDox},
+		{"dedup-negative-exact-dups", "dedup", setStat("ExactDups"), onDox},
+		{"dedup-negative-account-dups", "dedup", setStat("AccntDups"), onDox},
 	}
 	for _, mode := range []core.CheckpointMode{core.CheckpointFull, core.CheckpointDelta} {
 		for _, tc := range tampers {
@@ -793,10 +850,10 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 					cfg = streamCfg
 				}
 				mem := store.NewMem()
-				ck := &core.CheckpointConfig{Store: mem, EveryDays: 1, Mode: mode, CompactEvery: 20}
+				ck := &core.CheckpointConfig{Store: mem, Mode: mode}
 				s := newDurableStudyCkpt(t, cfg(1, false), ck)
-				s.Cfg.Progress = &stopAfter{s: s, days: 8}
-				if tc.onDox {
+				s.Cfg.Progress = &stopAfter{s: s, days: tc.stop}
+				if tc.stop == onDox {
 					// Stop on a day that commits a unique dox, past the
 					// first.
 					s.Cfg.Progress = &stopOnDox{s: s, min: 2}
@@ -895,7 +952,6 @@ func TestStudyConfigValidate(t *testing.T) {
 		{"negative control", core.StudyConfig{ControlSample: -1}, core.ErrInvalidConfig},
 		{"negative label sample", core.StudyConfig{LabelSample: -1}, core.ErrInvalidConfig},
 		{"checkpoint without store", core.StudyConfig{Checkpoint: &core.CheckpointConfig{}}, core.ErrInvalidConfig},
-		{"negative cadence", core.StudyConfig{Checkpoint: &core.CheckpointConfig{Store: store.NewMem(), EveryDays: -1}}, core.ErrInvalidConfig},
 		{"bad crawl", core.StudyConfig{Crawl: crawler.Options{Backoff: -time.Second}}, crawler.ErrInvalidOptions},
 		{"bad faults", core.StudyConfig{Faults: &faults.Profile{P500: 2}}, faults.ErrInvalidProfile},
 	}
@@ -940,13 +996,12 @@ func TestResumeSoak(t *testing.T) {
 			cuts = append(cuts, c)
 		}
 		sort.Ints(cuts)
-		ck := &core.CheckpointConfig{Store: store.NewMem(), EveryDays: 1}
+		ck := &core.CheckpointConfig{Store: store.NewMem()}
 		if rng.Intn(2) == 1 {
 			ck.Mode = core.CheckpointDelta
-			ck.CompactEvery = rng.Intn(9) // 0 compacts by bytes, the default
 		}
-		t.Logf("iter %d: parallelism=%d mild=%v cuts=%v mode=%q compact=%d",
-			iter, parallelism, mild, cuts, ck.Mode, ck.CompactEvery)
+		t.Logf("iter %d: parallelism=%d mild=%v cuts=%v mode=%q",
+			iter, parallelism, mild, cuts, ck.Mode)
 		base := getBaseline(t, mild)
 		s := runChainCkpt(t, resumeCfg(parallelism, mild), ck, cuts)
 		compareStudies(t, base.s, s, base.tables, renderAnalyses(s))

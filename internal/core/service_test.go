@@ -262,7 +262,7 @@ func runServiceChain(t *testing.T, ck core.CheckpointConfig, cuts []int) (svcSta
 // service run — under both full and delta checkpointing.
 func TestServiceResume(t *testing.T) {
 	t.Parallel()
-	refSvc, refWl, refFeed := runServiceChain(t, core.CheckpointConfig{Store: store.NewMem(), EveryDays: 1}, nil)
+	refSvc, refWl, refFeed := runServiceChain(t, core.CheckpointConfig{Store: store.NewMem()}, nil)
 
 	// The reference run must have produced real service traffic, or the
 	// comparison below is vacuous.
@@ -286,10 +286,7 @@ func TestServiceResume(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			ck := core.CheckpointConfig{Store: store.NewMem(), EveryDays: 1, Mode: tc.mode}
-			if tc.mode == core.CheckpointDelta {
-				ck.CompactEvery = 7
-			}
+			ck := core.CheckpointConfig{Store: store.NewMem(), Mode: tc.mode}
 			gotSvc, gotWl, gotFeed := runServiceChain(t, ck, tc.cuts)
 			if gotSvc != refSvc {
 				t.Errorf("notify state diverged:\nref %s\ngot %s", refSvc, gotSvc)

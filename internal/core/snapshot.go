@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"time"
 
@@ -334,6 +335,23 @@ func (s *Study) restorePastebin(st crawler.PastebinState) error {
 	return nil
 }
 
+// restoreBoard returns the restore hook of board crawler b's component.
+// Each watermark is the Unix second of a thread's newest reply, so it
+// lies in [0, the snapshot's virtual time] like the pastebin cursor; a
+// later one would make Poll skip every new reply in that thread.
+func (s *Study) restoreBoard(b *crawler.Board) func(crawler.BoardState) error {
+	return func(st crawler.BoardState) error {
+		now := s.Clock.Now().Unix()
+		for no, lm := range st.LastMod {
+			if lm < 0 || lm > now {
+				return fmt.Errorf("core: restore: %s thread %d last_mod %d outside [0, %d]", b.SiteName, no, lm, now)
+			}
+		}
+		b.Restore(st)
+		return nil
+	}
+}
+
 // RestoreSnapshot loads a checkpoint into a freshly built study. The study
 // must have been constructed with the same Seed and Scale; everything else
 // (world, corpus, classifier, services) is already rebuilt deterministically
@@ -363,7 +381,8 @@ func (s *Study) RestoreSnapshot(snap *store.Snapshot) error {
 		}
 	}
 	// Components restore against the snapshot's virtual time (the
-	// pastebin cursor is range-checked against it).
+	// pastebin cursor and the board watermarks are range-checked against
+	// it).
 	if snap.Meta.VirtualTime.After(now) {
 		s.Clock.Set(snap.Meta.VirtualTime)
 	}
@@ -405,8 +424,9 @@ type ResumeInfo struct {
 
 // Resume loads the latest snapshot from the configured checkpoint store
 // into a freshly built study, cross-checking the commit log's rolling
-// digest. A fresh state dir is not an error: it returns {Resumed: false}
-// and Run starts from the beginning. Call between NewStudy and Run.
+// digest; a commit log that cannot be read fails the resume. A fresh
+// state dir is not an error: it returns {Resumed: false} and Run starts
+// from the beginning. Call between NewStudy and Run.
 func (s *Study) Resume() (ResumeInfo, error) {
 	ck := s.ckpt()
 	if ck == nil {
@@ -430,11 +450,14 @@ func (s *Study) Resume() (ResumeInfo, error) {
 	if err := s.RestoreSnapshot(snap); err != nil {
 		return ResumeInfo{}, err
 	}
-	entries, entriesErr := ck.Store.Entries()
+	entries, err := ck.Store.Entries()
+	if err != nil {
+		return ResumeInfo{}, fmt.Errorf("core: resume: %w", err)
+	}
 	if s.deltaMode {
 		s.haveBase = true
 		s.cutsSinceFull = len(deltas)
-		if s.fullBytes, s.deltaBytes, err = chainBytes(entries, base, deltas); err != nil {
+		if s.fullBytes, s.deltaBytes, err = chainBytes(base, deltas); err != nil {
 			return ResumeInfo{}, err
 		}
 		s.m.chainLength.Set(float64(len(deltas)))
@@ -443,19 +466,17 @@ func (s *Study) Resume() (ResumeInfo, error) {
 	// Cross-check against the commit log: the day entry matching the
 	// snapshot must carry the same rolling digest, or the state dir
 	// belongs to a different run.
-	if entriesErr == nil {
-		for i := len(entries) - 1; i >= 0; i-- {
-			e := entries[i]
-			if e.Kind != store.KindDay || e.Period != snap.Meta.Period || e.Day != snap.Meta.Day {
-				continue
-			}
-			if e.Digest != "" && e.Digest != s.runDigestHex() {
-				return ResumeInfo{}, fmt.Errorf(
-					"core: resume: commit-log digest %s disagrees with snapshot digest %s at period %d day %d",
-					e.Digest, s.runDigestHex(), snap.Meta.Period, snap.Meta.Day)
-			}
-			break
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if e.Kind != store.KindDay || e.Period != snap.Meta.Period || e.Day != snap.Meta.Day {
+			continue
 		}
+		if e.Digest != "" && e.Digest != s.runDigestHex() {
+			return ResumeInfo{}, fmt.Errorf(
+				"core: resume: commit-log digest %s disagrees with snapshot digest %s at period %d day %d",
+				e.Digest, s.runDigestHex(), snap.Meta.Period, snap.Meta.Day)
+		}
+		break
 	}
 	return ResumeInfo{
 		Resumed: true, Period: snap.Meta.Period, Day: snap.Meta.Day,
@@ -487,30 +508,17 @@ func (s *Study) appendDayEntry(periodNo, day int) error {
 	})
 }
 
-// chainBytes recovers the encoded sizes the byte compaction rule counts
-// for a loaded chain — its full, and the sum of the deltas above it — as
-// the run that wrote them counted them: from the newest commit-log entry
-// of each cut. When the log lacks one (a kill between a file's rename and
-// its log append), the chain is re-encoded plain instead.
-func chainBytes(entries []store.Entry, base *store.Snapshot, deltas []*store.Delta) (full, sum int, err error) {
-	logged := make(map[uint64]int, len(deltas)+1)
-	for _, e := range entries {
-		if (e.Kind == store.KindSnapshot && e.Seq == base.Seq) || (e.Kind == store.KindDelta && e.Seq > base.Seq) {
-			logged[e.Seq] = e.Bytes
-		}
-	}
-	size := func(seq uint64, encode func() ([]byte, error)) (int, error) {
-		if n := logged[seq]; n > 0 {
-			return n, nil
-		}
-		b, err := encode()
-		return len(b), err
-	}
-	if full, err = size(base.Seq, func() ([]byte, error) { return store.Encode(base) }); err != nil {
+// chainBytes sizes a loaded chain for the byte compaction rule: the
+// encoded bytes of its full and the sum over the deltas above it, each
+// re-encoded into a counter. The envelope writer is canonical, so a plain
+// cut counts exactly its bytes on disk; a flate cut of an earlier
+// revision counts as the plain cut this build writes.
+func chainBytes(base *store.Snapshot, deltas []*store.Delta) (full, sum int, err error) {
+	if full, err = store.EncodeSnapshotTo(io.Discard, base); err != nil {
 		return 0, 0, err
 	}
 	for _, d := range deltas {
-		n, err := size(d.Seq, func() ([]byte, error) { return store.EncodeDelta(d) })
+		n, err := store.EncodeDeltaTo(io.Discard, d)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -519,26 +527,15 @@ func chainBytes(entries []store.Entry, base *store.Snapshot, deltas []*store.Del
 	return full, sum, nil
 }
 
-// compactionDue reports whether a delta-mode cut with an anchored chain
-// must write a full snapshot: after CompactEvery deltas when that is
-// positive, otherwise once the deltas since the last full add up to at
-// least its encoded bytes.
-func (s *Study) compactionDue(ck *CheckpointConfig) bool {
-	if ck.CompactEvery > 0 {
-		return s.cutsSinceFull >= ck.CompactEvery
-	}
-	return s.deltaBytes >= s.fullBytes
-}
-
 // writeCheckpoint persists a checkpoint at the current day boundary and
 // logs it. In delta mode a cut with an anchored chain writes an
-// incremental delta until compactionDue; the first cut and every
-// compaction write a full snapshot, which bounds the chain any resume has
-// to replay.
+// incremental delta until the deltas since the last full add up to at
+// least its encoded bytes; the first cut and every such compaction write
+// a full snapshot, which bounds the chain any resume has to replay.
 func (s *Study) writeCheckpoint(periodNo, day int) error {
 	ck := s.ckpt()
 	s.ckptSeq++
-	if s.deltaMode && s.haveBase && !s.compactionDue(ck) {
+	if s.deltaMode && s.haveBase && s.deltaBytes < s.fullBytes {
 		return s.writeDeltaCheckpoint(ck.Store, periodNo, day)
 	}
 	if s.deltaMode {

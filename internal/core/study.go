@@ -53,8 +53,6 @@ type StudyConfig struct {
 	// ControlSample is the Instagram random-sample size; 0 scales the
 	// paper's 13,392 by Scale with a floor of 1,000.
 	ControlSample int
-	// Classifier overrides; zero value reproduces the paper's setup.
-	Classifier classifier.Options
 	// Extract configures the per-document account extractor, which runs
 	// the fused single-pass kernel (bit-identical to the regex reference
 	// extractor on every document, enforced by TestStudyKernelEquivalence).
@@ -89,12 +87,12 @@ type StudyConfig struct {
 	// hook for no-data-loss audits; off by default because a full-scale
 	// run commits millions of documents.
 	RecordCollectedIDs bool
-	// Checkpoint, when non-nil, makes the study durable: every EveryDays
-	// study days (and at period ends and on RequestStop) the full mutable
-	// pipeline state is snapshotted through Store, and a per-day commit-log
-	// entry carries the rolling run digest. A killed run is resumed with
-	// Resume before Run; results are bit-identical to an uninterrupted run
-	// at any Parallelism, with or without fault injection.
+	// Checkpoint, when non-nil, makes the study durable: at the end of
+	// every study day the mutable pipeline state is cut through Store, and
+	// a per-day commit-log entry carries the rolling run digest. A killed
+	// run is resumed with Resume before Run; results are bit-identical to
+	// an uninterrupted run at any Parallelism, with or without fault
+	// injection.
 	Checkpoint *CheckpointConfig
 	// Stream, when non-nil, runs the study in service mode: with Fanout
 	// attached, commit delivers every unique dox to the §7 mitigation
@@ -120,8 +118,11 @@ const (
 	// default). Any store.Store backend works.
 	CheckpointFull CheckpointMode = "full"
 	// CheckpointDelta writes a full snapshot only at the chain anchors
-	// (the first cut, then each compaction CheckpointConfig.CompactEvery
-	// calls for) and a compact diff against the previous cut in between.
+	// and a compact diff against the previous cut in between. The first
+	// cut is a full; each later full is a compaction, written once the
+	// deltas since the last full add up to at least that full's encoded
+	// size, so a resume replays about as many delta bytes as its anchor
+	// holds at most.
 	CheckpointDelta CheckpointMode = "delta"
 )
 
@@ -142,18 +143,8 @@ type StreamConfig struct {
 type CheckpointConfig struct {
 	// Store receives snapshots and commit-log entries. Required.
 	Store store.Store
-	// EveryDays is the snapshot cadence in study days; 0 means every day.
-	// Period ends and stop requests always snapshot regardless of cadence.
-	EveryDays int
 	// Mode selects full or delta encoding; empty means CheckpointFull.
 	Mode CheckpointMode
-	// CompactEvery bounds the delta chain: after this many consecutive
-	// delta cuts the next cut is a full snapshot (compaction). 0, the
-	// default, compacts by bytes instead: the next cut is a full snapshot
-	// once the deltas since the last full add up to at least that full's
-	// encoded size, so a resume replays about as many delta bytes as its
-	// anchor holds at most. Ignored outside CheckpointDelta mode.
-	CompactEvery int
 }
 
 // ErrInvalidConfig is wrapped by every StudyConfig.Validate failure.
@@ -188,12 +179,6 @@ func (c StudyConfig) Validate() error {
 		if ck.Store == nil {
 			return bad("Checkpoint.Store", nil)
 		}
-		if ck.EveryDays < 0 {
-			return bad("Checkpoint.EveryDays", ck.EveryDays)
-		}
-		if ck.CompactEvery < 0 {
-			return bad("Checkpoint.CompactEvery", ck.CompactEvery)
-		}
 		switch ck.Mode {
 		case "", CheckpointFull, CheckpointDelta:
 		default:
@@ -205,15 +190,11 @@ func (c StudyConfig) Validate() error {
 
 func (c StudyConfig) withDefaults() StudyConfig {
 	if ck := c.Checkpoint; ck != nil {
-		every := ck.EveryDays
-		if every < 1 {
-			every = 1
-		}
 		mode := ck.Mode
 		if mode == "" {
 			mode = CheckpointFull
 		}
-		c.Checkpoint = &CheckpointConfig{Store: ck.Store, EveryDays: every, Mode: mode, CompactEvery: ck.CompactEvery}
+		c.Checkpoint = &CheckpointConfig{Store: ck.Store, Mode: mode}
 	}
 	if c.Scale <= 0 {
 		c.Scale = 0.05
@@ -297,12 +278,6 @@ type Study struct {
 	fanout   *stream.Fanout
 	polledAt map[string]time.Time
 
-	// probeKernel/probeExt back the doxmeter_extract_allocs_per_doc gauge:
-	// one flagged document per batch is re-extracted into this warm scratch
-	// on the driver goroutine.
-	probeKernel *extract.Kernel
-	probeExt    extract.Extraction
-
 	// Injectors maps service name (pastebin, fourchan, eightch, osn) to
 	// its fault injector; empty when StudyConfig.Faults is nil.
 	Injectors map[string]*faults.Injector
@@ -347,8 +322,8 @@ type Study struct {
 	// keep their own journals behind SetDeltaJournal.
 	deltaMode         bool            // Checkpoint.Mode == CheckpointDelta
 	haveBase          bool            // a full snapshot anchors the current chain
-	cutsSinceFull     int             // delta cuts since the last full (CompactEvery > 0)
-	fullBytes         int             // encoded bytes of the last full (CompactEvery 0)
+	cutsSinceFull     int             // delta cuts since the last full (the chain length)
+	fullBytes         int             // encoded bytes of the last full
 	deltaBytes        int             // encoded bytes of the deltas since it
 	inChain           map[string]bool // components whose state the chain holds
 	ckptDoxN          int             // len(Doxes) at the last cut
@@ -395,7 +370,6 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 		flaggedP1:       make(map[string]bool),
 		rng:             randutil.New(cfg.Seed ^ 0x636f7265), // "core"
 		m:               newStudyMetrics(cfg.Telemetry),
-		probeKernel:     extract.NewKernel(),
 	}
 	// Spans record virtual time from the study clock; the hub outlives the
 	// study, so a later study on the same hub simply re-points this.
@@ -414,10 +388,7 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	for i, ex := range examples {
 		exs[i] = classifier.Example{Body: ex.Body, IsDox: ex.IsDox}
 	}
-	if cfg.Classifier.Parallelism == 0 {
-		cfg.Classifier.Parallelism = cfg.Parallelism
-	}
-	clf, eval, err := classifier.TrainEval(randutil.Derive(s.rng, "train"), exs, cfg.Classifier)
+	clf, eval, err := classifier.TrainEval(randutil.Derive(s.rng, "train"), exs, classifier.Options{Parallelism: cfg.Parallelism})
 	if err != nil {
 		return nil, err
 	}
@@ -668,14 +639,12 @@ func (s *Study) runPeriod(ctx context.Context, p simclock.Period, periodNo int) 
 		// The progress writer above may have called RequestStop (tests use
 		// this to cut runs at exact day counts), so read the flag after.
 		stopping := s.stopReq.Load()
-		if ck := s.ckpt(); ck != nil {
+		if s.ckpt() != nil {
 			if err := s.appendDayEntry(periodNo, day); err != nil {
 				return err
 			}
-			if s.daysDone%ck.EveryDays == 0 || endOfPeriod || stopping {
-				if err := s.writeCheckpoint(periodNo, day); err != nil {
-					return err
-				}
+			if err := s.writeCheckpoint(periodNo, day); err != nil {
+				return err
 			}
 			if stopping {
 				if err := s.appendLifecycle(store.KindStop, periodNo, day); err != nil {
@@ -801,9 +770,7 @@ func (s *Study) prepareDoc(doc *crawler.Doc) Prepared {
 	pre.IsDox = res.IsDox
 	if timed {
 		now := time.Now()
-		d := now.Sub(t).Seconds()
-		m.docClassify.Observe(d)
-		m.classifySeconds.Observe(d)
+		m.docClassify.Observe(now.Sub(t).Seconds())
 		t = now
 	}
 	if pre.IsDox {
@@ -812,9 +779,7 @@ func (s *Study) prepareDoc(doc *crawler.Doc) Prepared {
 		// matchers, with scratch pooled across workers (§DESIGN).
 		pre.Extraction = extract.ExtractWith(text, s.Cfg.Extract)
 		if timed {
-			d := time.Since(t).Seconds()
-			m.docExtract.Observe(d)
-			m.extractSeconds.Observe(d)
+			m.docExtract.Observe(time.Since(t).Seconds())
 		}
 	}
 	return pre
@@ -827,41 +792,14 @@ func (s *Study) prepareDoc(doc *crawler.Doc) Prepared {
 func (s *Study) PrepareBatch(docs []crawler.Doc, workers int) []Prepared {
 	out := make([]Prepared, len(docs))
 	var queue *telemetry.Gauge
-	timed := s.m != nil && s.m.enabled
 	if s.m != nil {
 		queue = s.m.queueDepth
-	}
-	// The allocs-per-doc gauge brackets the batch with two Mallocs reads;
-	// the fused classify kernel should hold this near the cost of html
-	// conversion + extraction alone (its own steady state is 0 allocs).
-	// ReadMemStats is too expensive per document but fine per batch.
-	var m0 runtime.MemStats
-	if timed && len(docs) > 0 {
-		runtime.ReadMemStats(&m0)
 	}
 	queue.Set(float64(len(docs)))
 	parallel.ForEach(len(docs), workers, func(i int) {
 		out[i] = s.prepareDoc(&docs[i])
 		queue.Add(-1)
 	})
-	if timed && len(docs) > 0 {
-		var m1 runtime.MemStats
-		runtime.ReadMemStats(&m1)
-		s.m.classifyAllocs.Set(float64(m1.Mallocs-m0.Mallocs) / float64(len(docs)))
-		// Extract allocation probe: re-run the batch's first flagged
-		// document through a study-held kernel and scratch record, which
-		// holds this at zero once scratch is warm.
-		for i := range out {
-			if !out[i].IsDox {
-				continue
-			}
-			runtime.ReadMemStats(&m0)
-			s.probeKernel.ExtractInto(out[i].Text, &s.probeExt, s.Cfg.Extract)
-			runtime.ReadMemStats(&m1)
-			s.m.extractAllocs.Set(float64(m1.Mallocs - m0.Mallocs))
-			break
-		}
-	}
 	return out
 }
 

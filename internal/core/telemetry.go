@@ -34,23 +34,6 @@ type studyMetrics struct {
 	docClassify *telemetry.Histogram
 	docExtract  *telemetry.Histogram
 
-	// Fused-kernel hot-path instruments: per-document classify latency
-	// (doxmeter_classify_seconds; same observations as the doc-stage
-	// histogram's classify label, on a dedicated series dashboards can
-	// alert on) and the allocations-per-document gauge sampled around each
-	// prepare batch (doxmeter_classify_allocs_per_doc).
-	classifySeconds *telemetry.Histogram
-	classifyAllocs  *telemetry.Gauge
-
-	// Extraction hot-path instruments, mirroring the classify pair:
-	// per-flagged-document extract latency (doxmeter_extract_seconds; same
-	// observations as the doc-stage histogram's extract label, on a
-	// dedicated series) and a steady-state allocation probe
-	// (doxmeter_extract_allocs_per_doc) that re-runs one flagged document
-	// per prepare batch through a study-held kernel and scratch record.
-	extractSeconds *telemetry.Histogram
-	extractAllocs  *telemetry.Gauge
-
 	// alertLatency is the wall time from a source's poll returning to
 	// the delivery of each unique dox it carried
 	// (doxmeter_alert_latency_seconds); observed only in service mode.
@@ -107,16 +90,6 @@ func newStudyMetrics(hub *telemetry.Hub) *studyMetrics {
 		docHTML:      doc.With("htmltext"),
 		docClassify:  doc.With("classify"),
 		docExtract:   doc.With("extract"),
-		classifySeconds: reg.NewHistogram("doxmeter_classify_seconds",
-			"Per-document latency of the fused classify kernel (tokenize → TF-IDF → margin).",
-			nil).With(),
-		classifyAllocs: reg.NewGauge("doxmeter_classify_allocs_per_doc",
-			"Heap allocations per document across the most recent prepare batch; the fused classify path contributes ~0 at steady state.").With(),
-		extractSeconds: reg.NewHistogram("doxmeter_extract_seconds",
-			"Per-flagged-document latency of the account extractor (fused single-pass kernel by default).",
-			nil).With(),
-		extractAllocs: reg.NewGauge("doxmeter_extract_allocs_per_doc",
-			"Heap allocations for one representative flagged document re-extracted after each prepare batch; the fused kernel holds this at 0 at steady state.").With(),
 		alertLatency: reg.NewHistogram("doxmeter_alert_latency_seconds",
 			"End-to-end wall latency from a document's poll returning to its alert being delivered.",
 			nil).With(),

@@ -25,22 +25,21 @@ func TestRegisterAndValidate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Durable() || d.DeltaMode() || d.Every != 1 {
+	if d.Durable() || d.DeltaMode() || d.Resume {
 		t.Fatalf("defaults = %+v", d)
 	}
 
 	// The full surface round-trips every flag.
-	d, err = parse(t, true, "-state-dir", "x", "-checkpoint-every", "3",
-		"-checkpoint-mode", "delta", "-compact-every", "5", "-resume")
+	d, err = parse(t, true, "-state-dir", "x", "-checkpoint-mode", "delta", "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Durable() || !d.DeltaMode() || d.Every != 3 || d.CompactEvery != 5 || !d.Resume {
+	if !d.Durable() || !d.DeltaMode() || !d.Resume {
 		t.Fatalf("full surface = %+v", d)
 	}
 
 	// The subset surface still validates and keeps full-mode defaults.
-	d, err = parse(t, false, "-state-dir", "x", "-checkpoint-every", "2")
+	d, err = parse(t, false, "-state-dir", "x", "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,17 +51,13 @@ func TestRegisterAndValidate(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var sub Durability
 	sub.RegisterFlags(fs, false)
-	for _, name := range []string{"checkpoint-mode", "compact-every"} {
-		if fs.Lookup(name) != nil {
-			t.Errorf("subset surface exposes -%s", name)
-		}
+	if fs.Lookup("checkpoint-mode") != nil {
+		t.Error("subset surface exposes -checkpoint-mode")
 	}
 
 	for _, args := range [][]string{
 		{"-resume"}, // -resume requires -state-dir
 		{"-state-dir", "x", "-checkpoint-mode", "bogus"},
-		{"-checkpoint-every", "-1"},
-		{"-compact-every", "-2"},
 	} {
 		if _, err := parse(t, true, args...); err == nil {
 			t.Errorf("Validate accepted %v", args)
@@ -81,8 +76,7 @@ func TestOpen(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "state")
-	d, err = parse(t, true, "-state-dir", dir, "-checkpoint-every", "4",
-		"-checkpoint-mode", "delta", "-compact-every", "6")
+	d, err = parse(t, true, "-state-dir", dir, "-checkpoint-mode", "delta")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +85,7 @@ func TestOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if ck.Store != st || ck.EveryDays != 4 || ck.Mode != core.CheckpointDelta || ck.CompactEvery != 6 {
+	if ck.Store != st || ck.Mode != core.CheckpointDelta {
 		t.Fatalf("checkpoint config = %+v", ck)
 	}
 }

@@ -159,8 +159,8 @@ func TestDecodeDeltaRejectsSkewAndGarbage(t *testing.T) {
 }
 
 // chainStore builds full snapshot seq 1, deltas 2..4, full 5, deltas
-// 6..7 in st — the shape a delta-mode study with CompactEvery≈4 leaves
-// behind.
+// 6..7 in st — the shape a delta-mode study leaves behind after one
+// compaction.
 func chainStore(t *testing.T, st Store) {
 	t.Helper()
 	if _, err := st.SaveSnapshot(testSnapshot(1)); err != nil {

@@ -70,7 +70,7 @@ func TestVerbatimEnvelopeMatchesEncoder(t *testing.T) {
 					Watchlist: watchlist.New(0, func() time.Time { return simclock.Period1.Start }),
 					Feed:      feed.NewLog(),
 				}},
-				Checkpoint: &core.CheckpointConfig{Store: ps, EveryDays: 1, Mode: mode},
+				Checkpoint: &core.CheckpointConfig{Store: ps, Mode: mode},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -14,7 +14,11 @@ import (
 	"doxmeter/internal/crawler"
 	"doxmeter/internal/faults"
 	"doxmeter/internal/leakcheck"
+	"doxmeter/internal/sim"
+	"doxmeter/internal/simclock"
+	"doxmeter/internal/sites"
 	"doxmeter/internal/telemetry"
+	"doxmeter/internal/textgen"
 )
 
 // inprocHost is the URL host the unit tests register their handlers
@@ -303,5 +307,47 @@ func BenchmarkLocalTransportGetText(b *testing.B) {
 		if _, err := f.GetText(ctx, "http://"+inprocHost+"/item?i=abc"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPastebinFanout is the pastebin crawl's fan-out on its own: one
+// Poll of one study day (the first, at scale 0.05) from a sites.Pastebin
+// through crawler.Pastebin over localTransport, listing pages and bodies,
+// at Concurrency 1 and 2. ns/fetch is wall time per request the site
+// served. Every request of the two-worker fan-out crosses whatever state
+// the site, clock and fetcher share, so a shared lock or counter on that
+// path shows here as a smaller 1 → 2 gain; run with -cpu 2.
+func BenchmarkPastebinFanout(b *testing.B) {
+	start := simclock.Period1.Start
+	corpus := textgen.New(sim.NewWorld(sim.Default(7, 0.05))).Corpus()
+	var day []textgen.Doc
+	for _, d := range corpus.Streams[textgen.SitePastebin] {
+		if d.Posted.Before(start.Add(simclock.Day)) {
+			day = append(day, d)
+		}
+	}
+	pb := sites.NewPastebin(simclock.NewClock(start.Add(simclock.Day)), day, sites.DeletionModel{}, 1)
+	client := inprocClient(pb.Handler())
+	ctx := context.Background()
+	for _, conc := range []int{1, 2} {
+		b.Run("concurrency-"+strconv.Itoa(conc), func(b *testing.B) {
+			before := pb.Requests()
+			for i := 0; i < b.N; i++ {
+				c := crawler.NewPastebin("http://"+inprocHost, crawler.Options{
+					Client:         client,
+					Concurrency:    conc,
+					RequestTimeout: 30 * time.Second,
+				})
+				docs, err := c.Poll(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(docs) != len(day) {
+					b.Fatalf("polled %d documents, the day holds %d", len(docs), len(day))
+				}
+			}
+			fetches := pb.Requests() - before
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(fetches), "ns/fetch")
+		})
 	}
 }

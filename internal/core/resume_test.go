@@ -700,13 +700,15 @@ func TestResumeRejectsNegativeNextIdx(t *testing.T) {
 
 // TestResumeRejectsOutOfRangeState: a state dir whose pastebin cursor or
 // board thread watermark lies outside [0, the snapshot's virtual time],
-// whose monitor holds an observation with a status osn does not define,
+// whose monitor holds an observation with a status osn does not define or
+// an unfinished history due after its horizon,
 // whose feed's event seqs skip or start below 1, or whose funnel, dedup
 // or notification registry holds a negative counter must make Resume
 // fail, whether the bad value sits in a full snapshot or in the tip of a
 // delta chain. Before the check, a cursor of 2^40 resumed and silently
 // stopped collection, a board watermark of 2^40 silently hid every new
-// reply in its thread, and a feed seq gap replayed old events to a
+// reply in its thread, a next_due past the horizon silently stopped an
+// account's observations, and a feed seq gap replayed old events to a
 // consumer as new ones.
 func TestResumeRejectsOutOfRangeState(t *testing.T) {
 	t.Parallel()
@@ -735,6 +737,22 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 					obs, _ := h.(map[string]any)["obs"].([]any)
 					for _, o := range obs {
 						o.(map[string]any)["Status"] = st
+						n++
+					}
+				}
+			}
+			return n
+		}
+	}
+	// setNextDue moves every unfinished history's next scrape to due.
+	setNextDue := func(due string) func(map[string]any) int {
+		return func(v map[string]any) int {
+			n := 0
+			for _, key := range []string{"histories", "upserts", "appends"} {
+				hs, _ := v[key].([]any)
+				for _, h := range hs {
+					if h := h.(map[string]any); h["finished"] != true {
+						h["next_due"] = due
 						n++
 					}
 				}
@@ -825,6 +843,7 @@ func TestResumeRejectsOutOfRangeState(t *testing.T) {
 		{"board-future-last-mod", "crawler/4chan/b", setLastMod(1 << 40), board},
 		{"unknown-status", "monitor", setStatus(7), 8},
 		{"negative-status", "monitor", setStatus(-1), 8},
+		{"monitor-next-due-beyond-horizon", "monitor", setNextDue("9999-01-01T00:00:00Z"), 8},
 		{"feed-seq-gap", "service/feed", seqGap, onDox},
 		{"feed-seq-zero", "service/feed", seqZero, onDox},
 		{"notify-negative-ingested", "service/notify", setCounter("ingested"), onDox},

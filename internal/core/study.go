@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -225,7 +226,7 @@ func (c StudyConfig) withDefaults() StudyConfig {
 
 // DoxRecord is one classifier-flagged, de-duplicated dox document.
 //
-// TextDigest, Labels and Geo are derived from the raw text at commit time.
+// TextDigest, Labels and Geo are derived from the raw text in prepare.
 // They are what the post-study analyses read, and they are all a durable
 // study persists: on a resumed run Text is empty and Extraction carries
 // only the fields the §3.3 discipline allows on disk (OSN usernames and
@@ -332,10 +333,8 @@ type Study struct {
 	addedCollectedIDs []string        // CollectedIDs keys added since the last cut
 
 	// Commit scratch, reused across documents (commit runs only on the
-	// driver goroutine): the site/id key bytes and the text copy handed
-	// to the digest.
-	keyScratch  []byte
-	hashScratch []byte
+	// driver goroutine): the site/id key bytes.
+	keyScratch []byte
 }
 
 // ErrStopped is returned by Run after RequestStop: the study checkpointed
@@ -734,11 +733,25 @@ func (s *Study) collectOnce(ctx context.Context, p simclock.Period, periodNo int
 
 // Prepared is the output of the stateless CPU-hot pipeline stages for one
 // document: html→text conversion, TF-IDF transform + classification, and
-// (for flagged documents) account extraction.
+// (for flagged documents) account extraction and the DoxRecord fields.
 type Prepared struct {
 	Text       string
 	IsDox      bool
 	Extraction *extract.Extraction // nil unless IsDox
+	Derived    *Derived            // nil unless IsDox
+}
+
+// Derived holds the DoxRecord fields prepare computes from a flagged
+// document's text: the §3.2 labels, the §4.1 geolocation outcome and a
+// digest standing in for the text itself. All three are pure functions of
+// the text, so computing them on a worker gives commit the values it
+// would compute itself, and fresh and resumed runs agree. Flagged
+// documents that turn out to be duplicates (~15% at the default scale)
+// compute them for nothing; the rest of the batch carries a nil pointer.
+type Derived struct {
+	TextDigest string
+	Labels     label.Labels
+	Geo        GeoOutcome
 }
 
 // prepareDoc runs the stateless stages for one document. It only reads
@@ -781,9 +794,24 @@ func (s *Study) prepareDoc(doc *crawler.Doc) Prepared {
 		if timed {
 			m.docExtract.Observe(time.Since(t).Seconds())
 		}
+		bp := digestScratch.Get().(*[]byte)
+		*bp = append((*bp)[:0], text...)
+		sum := sha256.Sum256(*bp)
+		digestScratch.Put(bp)
+		labels := label.Apply(text)
+		pre.Derived = &Derived{
+			TextDigest: hex.EncodeToString(sum[:]),
+			Labels:     labels,
+			Geo:        s.geoOutcome(text, labels, pre.Extraction),
+		}
 	}
 	return pre
 }
+
+// digestScratch recycles the text copies prepare hands to sha256 across
+// workers: sha256.Sum256([]byte(text)) would allocate a full-text copy per
+// flagged document.
+var digestScratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // PrepareBatch runs the CPU-hot stages over a batch with at most workers
 // goroutines. Exported for the throughput benchmarks; the study itself
@@ -898,16 +926,6 @@ func (s *Study) commit(doc *crawler.Doc, pre Prepared, periodNo int, p simclock.
 		return
 	}
 	s.m.doxes.Inc()
-	// Derive everything the post-study analyses (and the checkpoint
-	// codec) need from the raw text now, while we hold it: the §3.2
-	// labels, the §4.1 geolocation outcome, and a digest standing in for
-	// the text itself. All three are pure functions of the text, so fresh
-	// and resumed runs agree.
-	// Digest via reused scratch: []byte(pre.Text) would allocate a fresh
-	// full-text copy per unique dox.
-	s.hashScratch = append(s.hashScratch[:0], pre.Text...)
-	sum := sha256.Sum256(s.hashScratch)
-	labels := label.Apply(pre.Text)
 	rec := &DoxRecord{
 		DocID:      doc.ID,
 		Site:       doc.Site,
@@ -915,9 +933,9 @@ func (s *Study) commit(doc *crawler.Doc, pre Prepared, periodNo int, p simclock.
 		Period:     periodNo,
 		Text:       pre.Text,
 		Extraction: pre.Extraction,
-		TextDigest: hex.EncodeToString(sum[:]),
-		Labels:     labels,
-		Geo:        s.geoOutcome(pre.Text, labels, pre.Extraction),
+		TextDigest: pre.Derived.TextDigest,
+		Labels:     pre.Derived.Labels,
+		Geo:        pre.Derived.Geo,
 	}
 	s.Doxes = append(s.Doxes, rec)
 	// Monitor the referenced accounts on the four tracked networks,

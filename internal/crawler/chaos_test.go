@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -261,6 +262,68 @@ func TestBreakerGiveUp(t *testing.T) {
 	}
 	if s := c.Stats(); s.BreakerGiveUps != 5 || s.BreakerOpens != 1 {
 		t.Fatalf("stats = %+v, want BreakerGiveUps=5 BreakerOpens=1", s)
+	}
+}
+
+// TestBreakerCleanFastPath: healthy outcomes from concurrent workers take
+// the lock-free path while the breaker is closed and clean, and leave it
+// so; threshold failures after them still open it, and once the cooldown
+// has passed, concurrent acquirers get exactly one half-open probe.
+func TestBreakerCleanFastPath(t *testing.T) {
+	const threshold = 3
+	b := &breaker{threshold: threshold, cooldown: time.Hour}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				if err := b.acquire(ctx, time.Second); err != nil {
+					t.Errorf("clean breaker refused a request: %v", err)
+					return
+				}
+				if b.record(true) || b.isOpen() {
+					t.Error("a healthy outcome opened the breaker")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if b.dirty.Load() {
+		t.Fatal("healthy outcomes left the breaker dirty")
+	}
+	for i := 1; i <= threshold; i++ {
+		if opened := b.record(false); opened != (i == threshold) {
+			t.Fatalf("failure %d of %d: opened = %v", i, threshold, opened)
+		}
+	}
+	if !b.isOpen() || !b.dirty.Load() {
+		t.Fatal("threshold failures after healthy ones did not open the breaker")
+	}
+	if err := b.acquire(ctx, 5*time.Millisecond); !errors.Is(err, ErrCircuitOpen) {
+		t.Fatalf("acquire during the cooldown = %v, want ErrCircuitOpen", err)
+	}
+	b.mu.Lock()
+	b.openedAt = time.Now().Add(-time.Hour) // the cooldown has passed
+	b.mu.Unlock()
+	var probes atomic.Int32
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b.acquire(ctx, 20*time.Millisecond) == nil {
+				probes.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := probes.Load(); n != 1 {
+		t.Fatalf("%d concurrent acquirers admitted after the cooldown, want exactly 1 probe", n)
+	}
+	if b.record(true); b.isOpen() || b.dirty.Load() {
+		t.Fatal("a healthy probe did not close the breaker clean")
 	}
 }
 

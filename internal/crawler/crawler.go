@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"doxmeter/internal/parallel"
@@ -640,9 +641,17 @@ func (f *Fetcher) throttle(ctx context.Context) error {
 // failed probe restarts the cooldown. acquire blocks (bounded) rather than
 // failing fast: the crawl's priority is completeness, so callers wait for
 // the host to come back and only abandon an attempt after BreakerMaxWait.
+//
+// While the breaker is closed with no failure counted (not dirty),
+// acquire, isOpen and a healthy record read one atomic flag and take no
+// lock: that is every request of a healthy crawl, from every fetch worker.
+// Anything else takes mu, and every locked update republishes dirty, so a
+// fast-path caller that raced a failure is ordered before it.
 type breaker struct {
 	threshold int // <= 0 disables
 	cooldown  time.Duration
+
+	dirty atomic.Bool // open || consecutive > 0 || probing; written under mu
 
 	mu          sync.Mutex
 	consecutive int
@@ -651,11 +660,16 @@ type breaker struct {
 	openedAt    time.Time
 }
 
+// publish recomputes the dirty flag; call with mu held after any update.
+func (b *breaker) publish() {
+	b.dirty.Store(b.open || b.consecutive > 0 || b.probing)
+}
+
 // acquire blocks until the breaker admits a request: immediately when
 // closed, as the single half-open probe once the cooldown elapses, or not
 // at all — ErrCircuitOpen — after maxWait.
 func (b *breaker) acquire(ctx context.Context, maxWait time.Duration) error {
-	if b.threshold <= 0 {
+	if b.threshold <= 0 || !b.dirty.Load() {
 		return nil
 	}
 	deadline := time.Now().Add(maxWait)
@@ -692,7 +706,7 @@ func (b *breaker) acquire(ctx context.Context, maxWait time.Duration) error {
 
 // isOpen reports the breaker's current state (for the state gauge).
 func (b *breaker) isOpen() bool {
-	if b.threshold <= 0 {
+	if b.threshold <= 0 || !b.dirty.Load() {
 		return false
 	}
 	b.mu.Lock()
@@ -703,11 +717,12 @@ func (b *breaker) isOpen() bool {
 // record feeds an outcome back and reports whether this outcome opened the
 // breaker (a closed→open transition, for stats).
 func (b *breaker) record(healthy bool) bool {
-	if b.threshold <= 0 {
+	if b.threshold <= 0 || (healthy && !b.dirty.Load()) {
 		return false
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.publish()
 	if healthy {
 		b.consecutive = 0
 		b.open = false

@@ -398,6 +398,14 @@ func (m *Monitor) Restore(st State) error {
 				return fmt.Errorf("monitor: restore: %s:%s has an observation with unknown status %d", hs.Network, hs.Username, o.Status)
 			}
 		}
+		// An unfinished history due after its horizon is never due again
+		// and never finishes, so its observations would silently stop.
+		// advance finishes such a history instead; only a corrupt state
+		// dir holds one.
+		if end := m.horizon(hs.EndAt); !hs.Finished && hs.NextDue.After(end) {
+			return fmt.Errorf("monitor: restore: %s:%s is due at %s, after its horizon %s",
+				hs.Network, hs.Username, hs.NextDue.Format(time.RFC3339), end.Format(time.RFC3339))
+		}
 		h := &History{
 			Ref:       netid.Ref{Network: network, Username: hs.Username},
 			NumericID: hs.NumericID,
@@ -666,15 +674,20 @@ func (m *Monitor) advance(h *History, now time.Time) {
 		h.nextIdx++
 		next = next.Add(7 * simclock.Day)
 	}
-	end := m.endAt
-	if !h.endAt.IsZero() && h.endAt.Before(end) {
-		end = h.endAt
-	}
-	if next.After(end) {
+	if next.After(m.horizon(h.endAt)) {
 		h.finished = true
 		return
 	}
 	h.nextDue = next
+}
+
+// horizon is the last instant a history with the given end_at may be
+// visited: the earlier of end_at (when set) and the monitor's EndAt.
+func (m *Monitor) horizon(endAt time.Time) time.Time {
+	if !endAt.IsZero() && endAt.Before(m.endAt) {
+		return endAt
+	}
+	return m.endAt
 }
 
 var (

@@ -5,7 +5,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -225,6 +227,65 @@ func TestControlAccountsDeterministic(t *testing.T) {
 	}
 	if _, ok := u.ControlAccount(u.MaxInstagramID() + 1); ok {
 		t.Error("ID beyond space should not resolve")
+	}
+}
+
+// TestControlAccountConcurrent: goroutines resolving overlapping control
+// IDs (victim IDs among them) through one universe all get one shared
+// account per ID, equal to what a fresh universe derives: status on every
+// study day, activity and transitions.
+func TestControlAccountConcurrent(t *testing.T) {
+	u, _, _ := testUniverse(t, 0.02)
+	fresh, _, _ := testUniverse(t, 0.02)
+	var ids []int64
+	for _, a := range u.Accounts() {
+		if a.NumericID > 0 && len(ids) < 5 {
+			ids = append(ids, a.NumericID)
+		}
+	}
+	for i := 0; i < 400; i++ {
+		ids = append(ids, int64(1+i*1_000_003))
+	}
+	const workers = 4
+	got := make([][]*Account, workers)
+	var wg sync.WaitGroup
+	for w := range got {
+		got[w] = make([]*Account, len(ids))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			// Each worker starts a quarter further in, so every ID is
+			// resolved by several goroutines at about the same time.
+			for k := range ids {
+				i := (k + w*len(ids)/workers) % len(ids)
+				got[w][i], _ = u.ControlAccount(ids[i])
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, id := range ids {
+		want, ok := fresh.ControlAccount(id)
+		if !ok {
+			t.Fatalf("ID %d does not resolve in a fresh universe", id)
+		}
+		for w := range got {
+			a := got[w][i]
+			if a != got[0][i] {
+				t.Fatalf("ID %d: workers 0 and %d got different accounts", id, w)
+			}
+			if a.Ref != want.Ref || a.NumericID != want.NumericID || a.VictimID != want.VictimID ||
+				a.Activity != want.Activity || a.initial != want.initial ||
+				!reflect.DeepEqual(a.transitions, want.transitions) {
+				t.Fatalf("ID %d: account %+v, a fresh universe derives %+v", id, a, want)
+			}
+			for _, p := range []simclock.Period{simclock.Period1, simclock.Period2} {
+				for d := 0; d < p.Days(); d++ {
+					if at := p.DayStart(d); a.StatusAt(at) != want.StatusAt(at) {
+						t.Fatalf("ID %d on %v: status %v, want %v", id, at, a.StatusAt(at), want.StatusAt(at))
+					}
+				}
+			}
+		}
 	}
 }
 

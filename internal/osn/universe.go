@@ -104,16 +104,21 @@ func (a *Account) StatusAt(t time.Time) Status {
 func (a *Account) DoxedAt() time.Time { return a.doxedAt }
 
 // Universe is the collection of simulated networks. Safe for concurrent
-// reads; RecordDox serializes internally.
+// reads; RecordDox serializes internally. The account maps are fixed at
+// construction, so lookups take no lock.
 type Universe struct {
 	clock *simclock.Clock
 
-	mu       sync.RWMutex
+	mu       sync.Mutex          // serializes RecordDox and TriggerAbuse (rng, account reactions)
 	accounts map[string]*Account // netid.Ref.Key() -> account
 	igByID   map[int64]*Account
 	igMaxID  int64
 	rng      *rand.Rand
 	seed     int64
+
+	// controls memoizes ControlAccount: numeric ID -> *Account, each
+	// derived once on first request and shared read-only afterwards.
+	controls sync.Map
 }
 
 // NewUniverse registers every victim OSN account from the world. Initial
@@ -161,16 +166,12 @@ func NewUniverse(clock *simclock.Clock, w *sim.World, seed int64) *Universe {
 
 // Lookup finds a registered account.
 func (u *Universe) Lookup(ref netid.Ref) (*Account, bool) {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
 	a, ok := u.accounts[ref.Key()]
 	return a, ok
 }
 
 // Accounts returns all registered accounts (stable order).
 func (u *Universe) Accounts() []*Account {
-	u.mu.RLock()
-	defer u.mu.RUnlock()
 	keys := make([]string, 0, len(u.accounts))
 	for k := range u.accounts {
 		keys = append(keys, k)
@@ -366,20 +367,29 @@ var abusiveComments = []string{
 // resolves to a deterministic synthetic "typical" account whose behaviour
 // carries only background churn. The bool is false for IDs beyond the
 // registered space (unallocated).
+//
+// A synthetic account is derived on its ID's first request and memoized:
+// the control sample is re-scraped on every sweep, and re-deriving would
+// reseed a 5KB math/rand source per scrape. Synthetic accounts never
+// change after derivation, so concurrent callers share them read-only.
 func (u *Universe) ControlAccount(id int64) (*Account, bool) {
 	if id <= 0 || id > u.igMaxID {
 		return nil, false
 	}
-	u.mu.RLock()
 	if a, ok := u.igByID[id]; ok {
-		u.mu.RUnlock()
 		return a, true
 	}
-	u.mu.RUnlock()
-	// Deterministic synthetic account derived from the ID: no state is
-	// stored, so the 13k-account control sample costs nothing. The seed is
-	// FNV-1a over "ig-control-<id>-<seed>", computed inline so repeated
-	// derivations allocate neither a hasher nor a 5KB rand source.
+	if a, ok := u.controls.Load(id); ok {
+		return a.(*Account), true
+	}
+	a, _ := u.controls.LoadOrStore(id, u.deriveControl(id))
+	return a.(*Account), true
+}
+
+// deriveControl builds the synthetic control account for id. Its seed is
+// FNV-1a over "ig-control-<id>-<seed>", so the account is a pure function
+// of the ID and the universe seed.
+func (u *Universe) deriveControl(id int64) *Account {
 	var kb [48]byte
 	key := strconv.AppendInt(append(kb[:0], "ig-control-"...), id, 10)
 	key = strconv.AppendInt(append(key, '-'), u.seed, 10)
@@ -388,8 +398,7 @@ func (u *Universe) ControlAccount(id int64) (*Account, bool) {
 		hv ^= uint64(c)
 		hv *= 1099511628211
 	}
-	r := randutil.Get(int64(hv))
-	defer randutil.Put(r)
+	r := randutil.New(int64(hv))
 	a := &Account{
 		Ref: netid.Ref{
 			Network:  netid.Instagram,
@@ -425,7 +434,7 @@ func (u *Universe) ControlAccount(id int64) (*Account, bool) {
 			at: start.Add(time.Duration(r.Intn(span)) * simclock.Day), to: Public,
 		})
 	}
-	return a, true
+	return a
 }
 
 // MaxInstagramID exposes the top of the Instagram ID space for samplers.

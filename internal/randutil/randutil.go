@@ -8,32 +8,12 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
-	"sync"
 )
 
 // New returns a rand.Rand seeded with the given seed.
 func New(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
-
-// rngPool recycles rand.Rand instances for Get/Put. A math/rand source is
-// ~5KB of state, so call paths that derive a short-lived RNG per item
-// (synthetic control accounts, page renders) would otherwise allocate it
-// over and over.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
-
-// Get returns a pooled rand.Rand reseeded to seed. Reseeding restores the
-// exact state a fresh New(seed) would have, so the value stream is
-// identical — without the per-call source allocation. Hand the RNG back
-// with Put once no reference to it remains.
-func Get(seed int64) *rand.Rand {
-	r := rngPool.Get().(*rand.Rand)
-	r.Seed(seed)
-	return r
-}
-
-// Put returns a Get RNG to the pool.
-func Put(r *rand.Rand) { rngPool.Put(r) }
 
 // Derive returns a new RNG deterministically derived from a parent RNG and a
 // label. It lets independent subsystems share one master seed without

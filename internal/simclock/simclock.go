@@ -11,6 +11,7 @@ package simclock
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -68,22 +69,25 @@ func (p Period) String() string {
 
 // Clock is a monotonic virtual clock. It is safe for concurrent use: the
 // crawler, the site simulators and the account monitor all read it from
-// separate goroutines while the study driver advances it.
+// separate goroutines while the study driver advances it. Readers load the
+// latest published time without a lock; writers serialize on mu and
+// publish each new time as a fresh value, so Now returns a whole published
+// time, never a torn one, and never an earlier one than a previous Now.
 type Clock struct {
-	mu  sync.RWMutex
-	now time.Time
+	mu  sync.Mutex // serializes Advance and Set
+	now atomic.Pointer[time.Time]
 }
 
 // NewClock returns a clock set to start.
 func NewClock(start time.Time) *Clock {
-	return &Clock{now: start}
+	c := &Clock{}
+	c.now.Store(&start)
+	return c
 }
 
 // Now returns the current virtual time.
 func (c *Clock) Now() time.Time {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.now
+	return *c.now.Load()
 }
 
 // Advance moves the clock forward by d. Attempting to move backwards is a
@@ -94,18 +98,19 @@ func (c *Clock) Advance(d time.Duration) time.Time {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-	return c.now
+	t := c.now.Load().Add(d)
+	c.now.Store(&t)
+	return t
 }
 
 // Set jumps the clock to t, which must not be before the current time.
 func (c *Clock) Set(t time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t.Before(c.now) {
+	if t.Before(*c.now.Load()) {
 		panic("simclock: cannot set clock backwards")
 	}
-	c.now = t
+	c.now.Store(&t)
 }
 
 // DaysSince returns the whole number of days elapsed from t to the clock's

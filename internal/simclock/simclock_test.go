@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -128,5 +129,58 @@ func TestClockConcurrentReads(t *testing.T) {
 	wg.Wait()
 	if got := c.Now().Sub(Period1.Start); got != 1000*time.Minute {
 		t.Fatalf("advanced %v, want 1000m", got)
+	}
+}
+
+// TestClockNowPublishedMonotonic: readers racing Advance and Set see only
+// times a writer published (whole days after the start, here) and never
+// a time earlier than one they already read.
+func TestClockNowPublishedMonotonic(t *testing.T) {
+	const steps = 2000
+	start := Period1.Start
+	c := NewClock(start)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			last := start
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				now := c.Now()
+				off := now.Sub(start)
+				if off%Day != 0 || off < 0 || off > steps*Day || now.Location() != time.UTC {
+					errs <- fmt.Errorf("Now = %v, which no writer published", now)
+					return
+				}
+				if now.Before(last) {
+					errs <- fmt.Errorf("Now went backwards: %v after %v", now, last)
+					return
+				}
+				last = now
+			}
+		}()
+	}
+	for i := 1; i <= steps; i++ {
+		if i%2 == 0 {
+			c.Set(start.Add(time.Duration(i) * Day))
+		} else {
+			c.Advance(Day)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := c.Now().Sub(start); got != steps*Day {
+		t.Fatalf("clock at %v after %d steps, want %v", got, steps, steps*Day)
 	}
 }

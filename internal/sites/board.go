@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"doxmeter/internal/randutil"
@@ -23,10 +22,11 @@ import (
 //	    serve them.
 //
 // Documents are grouped into threads at construction; posts become visible
-// as the virtual clock passes their timestamps. Safe for concurrent use.
+// as the virtual clock passes their timestamps. Safe for concurrent use:
+// the threads are fixed at construction, so requests read them without a
+// lock.
 type BoardSite struct {
 	clock  *simclock.Clock
-	mu     sync.RWMutex
 	boards map[string][]*thread
 }
 
@@ -105,8 +105,6 @@ func NewBoardSite(clock *simclock.Clock, boards map[string][]textgen.Doc, seed i
 
 // Boards lists the hosted board names, sorted.
 func (s *BoardSite) Boards() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	names := make([]string, 0, len(s.boards))
 	for n := range s.boards {
 		names = append(names, n)
@@ -138,9 +136,7 @@ func (s *BoardSite) Handler() http.Handler {
 const threadsPerPage = 15
 
 func (s *BoardSite) handleCatalog(w http.ResponseWriter, req *http.Request, board string) {
-	s.mu.RLock()
 	threads, ok := s.boards[board]
-	s.mu.RUnlock()
 	if !ok {
 		http.NotFound(w, req)
 		return
@@ -173,9 +169,7 @@ func (s *BoardSite) handleCatalog(w http.ResponseWriter, req *http.Request, boar
 }
 
 func (s *BoardSite) handleThread(w http.ResponseWriter, req *http.Request, board string, no int64) {
-	s.mu.RLock()
 	threads, ok := s.boards[board]
-	s.mu.RUnlock()
 	if !ok {
 		http.NotFound(w, req)
 		return
@@ -211,8 +205,6 @@ func (th *thread) visibleCount(now time.Time) int {
 // DocIDForPost maps a board post number back to its document ID (test and
 // ground-truth plumbing; the crawler never uses it).
 func (s *BoardSite) DocIDForPost(board string, no int64) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	for _, th := range s.boards[board] {
 		for _, p := range th.posts {
 			if p.no == no {

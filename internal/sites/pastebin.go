@@ -15,7 +15,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"doxmeter/internal/randutil"
@@ -47,16 +47,16 @@ func DefaultDeletionModel() DeletionModel {
 //	GET /api_scrape_item.php?i=<key>              — raw paste body; 404 for
 //	    unknown keys, not-yet-posted pastes, and deleted pastes.
 //
-// Safe for concurrent use.
+// Safe for concurrent use: everything but the request counter is fixed at
+// construction, so requests read it without a lock.
 type Pastebin struct {
 	clock *simclock.Clock
 
-	mu       sync.RWMutex
 	docs     []textgen.Doc // sorted by Posted
 	byID     map[string]int
 	deleteAt map[string]time.Time
 
-	requests int64
+	requests atomic.Int64
 }
 
 // NewPastebin builds the service. Deletion times are pre-drawn from the
@@ -128,7 +128,7 @@ func queryParam(rawQuery, key string) string {
 }
 
 func (p *Pastebin) handleScrape(w http.ResponseWriter, req *http.Request) {
-	p.bumpRequests()
+	p.requests.Add(1)
 	limit := 100
 	if s := queryParam(req.URL.RawQuery, "limit"); s != "" {
 		v, err := strconv.Atoi(s)
@@ -148,8 +148,6 @@ func (p *Pastebin) handleScrape(w http.ResponseWriter, req *http.Request) {
 		since = v
 	}
 	now := p.clock.Now()
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	// Binary search to the first doc in the cursor second. The cursor is
 	// *inclusive* at second granularity: the boundary second's pastes are
 	// re-served on the next page and clients de-duplicate by key — the
@@ -169,21 +167,19 @@ func (p *Pastebin) handleScrape(w http.ResponseWriter, req *http.Request) {
 }
 
 func (p *Pastebin) handleItem(w http.ResponseWriter, req *http.Request) {
-	p.bumpRequests()
+	p.requests.Add(1)
 	key := queryParam(req.URL.RawQuery, "i")
 	if key == "" {
 		http.Error(w, "missing key", http.StatusBadRequest)
 		return
 	}
 	now := p.clock.Now()
-	p.mu.RLock()
 	idx, ok := p.byID[key]
 	var doc textgen.Doc
 	if ok {
 		doc = p.docs[idx]
 	}
 	delAt, condemned := p.deleteAt[key]
-	p.mu.RUnlock()
 	if !ok || doc.Posted.After(now) || (condemned && !now.Before(delAt)) {
 		http.NotFound(w, req)
 		return
@@ -195,28 +191,12 @@ func (p *Pastebin) handleItem(w http.ResponseWriter, req *http.Request) {
 // IsDeleted reports whether the paste is gone at the given time (used by
 // the Table 3 validation and by tests; the crawler only sees 404s).
 func (p *Pastebin) IsDeleted(id string, at time.Time) bool {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	delAt, ok := p.deleteAt[id]
 	return ok && !at.Before(delAt)
 }
 
 // DocCount returns the total number of hosted documents.
-func (p *Pastebin) DocCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.docs)
-}
+func (p *Pastebin) DocCount() int { return len(p.docs) }
 
 // Requests returns how many API requests the service has handled.
-func (p *Pastebin) Requests() int64 {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.requests
-}
-
-func (p *Pastebin) bumpRequests() {
-	p.mu.Lock()
-	p.requests++
-	p.mu.Unlock()
-}
+func (p *Pastebin) Requests() int64 { return p.requests.Load() }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,6 +131,41 @@ func TestPastebinItemFetch(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing key status = %d", resp.StatusCode)
+	}
+}
+
+// TestPastebinRequestsConcurrent: Requests counts every request that
+// concurrent fetchers sent (bodies, listings, unknown and missing keys),
+// none lost to a racing increment.
+func TestPastebinRequestsConcurrent(t *testing.T) {
+	docs := testDocs(t).Streams[textgen.SitePastebin]
+	pb := NewPastebin(simclock.NewClock(simclock.Period2.End), docs, DeletionModel{}, 3)
+	h := pb.Handler()
+	const workers, perWorker = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				var target string
+				switch i % 4 {
+				case 0:
+					target = "/api_scraping.php?since=0&limit=5"
+				case 1:
+					target = "/api_scrape_item.php?i=doesnotexist"
+				case 2:
+					target = "/api_scrape_item.php"
+				default:
+					target = "/api_scrape_item.php?i=" + docs[(w*perWorker+i)%len(docs)].ID
+				}
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, target, nil))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got, want := pb.Requests(), int64(workers*perWorker); got != want {
+		t.Fatalf("Requests() = %d after %d concurrent requests", got, want)
 	}
 }
 

@@ -15,17 +15,18 @@
 //     bytes in place; the rune fallback applies unicode.ToLower, which is
 //     what strings.ToLower does per rune.
 //   - Term frequencies accumulate as integer counts in a dense scratch
-//     array indexed by vocabulary position, with a touched-index list
-//     replacing the map[int]float64; counts are order-independent, and
-//     float64(count) is exactly the float64 the reference's repeated ++
-//     reaches, so totals match.
-//   - The touched list is sorted ascending before any float math, so the
-//     norm and dot accumulate in exactly the index order the reference
-//     path uses after its sort.Slice.
+//     array indexed by vocabulary position, with a two-level touched
+//     bitmap replacing the map[int]float64; counts are order-independent,
+//     and float64(count) is exactly the float64 the reference's repeated
+//     ++ reaches, so totals match.
+//   - The touched indices are read back by walking the bitmap, which
+//     yields them in ascending order before any float math, so the norm
+//     and dot accumulate in exactly the index order the reference path
+//     uses after its sort.Slice.
 //   - Every float64 expression mirrors the reference: value = tf*idf
 //     (or (1+ln tf)*idf), normSq += value*value, norm = Sqrt(normSq),
 //     contribution = weights[idx] * (value/norm). Same operands, same
-//     order, same rounding.
+//     order, same rounding; each value is computed once and reused.
 //
 // A Scorer owns reusable scratch and is NOT safe for concurrent use; hand
 // one to each worker (classifier.Classifier keeps a sync.Pool).
@@ -33,7 +34,7 @@ package tfidf
 
 import (
 	"math"
-	"slices"
+	"math/bits"
 	"unicode"
 	"unicode/utf8"
 )
@@ -60,12 +61,18 @@ func init() {
 type Scorer struct {
 	vz *Vectorizer
 
-	tf      []uint32 // dense term counts, indexed by vocab position
-	touched []int32  // vocab indices with tf > 0, reset by walking this list
-	tok     []byte   // current token, lowercased, reused across tokens
-	prev    []byte   // previous emitted token (bigram mode)
-	bigram  []byte   // bigram key scratch ("prev cur")
-	tokens  int      // unigram tokens seen by the last scan
+	tf []uint32 // dense term counts, indexed by vocab position
+	// The touched bitmap: bit i of words is set when tf[i] > 0, and bit j
+	// of summary when words[j] is nonzero. gather walks both in ascending
+	// order and clears them behind it.
+	words   []uint64
+	summary []uint64
+	idx     []int32   // touched vocab indices, ascending (filled by gather)
+	val     []float64 // their feature values, before normalization
+	tok     []byte    // current token, lowercased, reused across tokens
+	prev    []byte    // previous emitted token (bigram mode)
+	bigram  []byte    // bigram key scratch ("prev cur")
+	tokens  int       // unigram tokens seen by the last scan
 }
 
 // NewScorer returns a fused-inference kernel over the fitted vocabulary.
@@ -73,27 +80,32 @@ type Scorer struct {
 // Vectorizer, not the Scorer, across goroutines.
 func (vz *Vectorizer) NewScorer() *Scorer {
 	// prev and bigram stay nil until bigram mode first appends to them.
-	return &Scorer{
-		vz:      vz,
-		tf:      make([]uint32, len(vz.idf)),
-		touched: make([]int32, 0, 256),
-		tok:     make([]byte, 0, 64),
+	s := &Scorer{
+		vz:  vz,
+		idx: make([]int32, 0, 256),
+		val: make([]float64, 0, 256),
+		tok: make([]byte, 0, 64),
 	}
+	s.size()
+	return s
 }
 
-// reset clears the dense scratch by walking the touched list, so cost is
-// proportional to the previous document, not the vocabulary.
+// size allocates the dense scratch for the vectorizer's live vocabulary.
+func (s *Scorer) size() {
+	n := len(s.vz.idf)
+	s.tf = make([]uint32, n)
+	s.words = make([]uint64, (n+63)/64)
+	s.summary = make([]uint64, (len(s.words)+63)/64)
+}
+
+// reset readies the scratch for a new document. The dense counts and the
+// bitmap are already clear: gather clears them as it reads them.
 func (s *Scorer) reset() {
 	if len(s.tf) != len(s.vz.idf) {
 		// The vectorizer was fitted after this scorer was built (a pooled
 		// pre-fit scorer): resize the dense scratch to the live vocabulary.
-		s.tf = make([]uint32, len(s.vz.idf))
-		s.touched = s.touched[:0]
+		s.size()
 	}
-	for _, idx := range s.touched {
-		s.tf[idx] = 0
-	}
-	s.touched = s.touched[:0]
 	s.prev = s.prev[:0]
 	s.tokens = 0
 }
@@ -122,9 +134,37 @@ func (s *Scorer) count(idx int) {
 		return
 	}
 	if s.tf[idx] == 0 {
-		s.touched = append(s.touched, int32(idx))
+		w := idx >> 6
+		s.words[w] |= 1 << (idx & 63)
+		s.summary[w>>6] |= 1 << (w & 63)
 	}
 	s.tf[idx]++
+}
+
+// gather walks the touched bitmap in ascending index order, filling idx
+// and val with each touched index and its feature value, and clears the
+// counts and the bitmap behind it. It visits only nonzero words, so its
+// cost is the document's distinct terms plus one summary word per 4096
+// vocabulary entries.
+func (s *Scorer) gather() {
+	s.idx, s.val = s.idx[:0], s.val[:0]
+	for si, sw := range s.summary {
+		if sw == 0 {
+			continue
+		}
+		s.summary[si] = 0
+		for ; sw != 0; sw &= sw - 1 {
+			w := si<<6 | bits.TrailingZeros64(sw)
+			word := s.words[w]
+			s.words[w] = 0
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				s.idx = append(s.idx, int32(i))
+				s.val = append(s.val, s.value(i))
+				s.tf[i] = 0
+			}
+		}
+	}
 }
 
 // tokenizer is the single-pass byte-level tokenizer shared by the scorer's
@@ -208,17 +248,16 @@ func (s *Scorer) TokenCount(doc string) int {
 func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, tokens int) {
 	s.reset()
 	s.scan(doc, true)
-	slices.Sort(s.touched)
+	s.gather()
 	var normSq float64
-	for _, idx := range s.touched {
-		v := s.value(idx)
+	for _, v := range s.val {
 		normSq += v * v
 	}
 	// Mirror the reference exactly: Transform normalizes only when the
 	// norm is positive (an empty vector keeps norm 0 and dot 0).
 	norm := math.Sqrt(normSq)
-	for _, idx := range s.touched {
-		v := s.value(idx)
+	for k, idx := range s.idx {
+		v := s.val[k]
 		if norm > 0 {
 			v /= norm
 		}
@@ -237,10 +276,10 @@ func (s *Scorer) DotNormalized(doc string, weights []float64) (dot float64, toke
 func (s *Scorer) Vector(doc string) Vector {
 	s.reset()
 	s.scan(doc, true)
-	slices.Sort(s.touched)
-	vec := make(Vector, 0, len(s.touched))
-	for _, idx := range s.touched {
-		vec = append(vec, Feature{Index: int(idx), Value: s.value(idx)})
+	s.gather()
+	vec := make(Vector, len(s.idx))
+	for k, idx := range s.idx {
+		vec[k] = Feature{Index: int(idx), Value: s.val[k]}
 	}
 	if n := vec.Norm(); n > 0 {
 		for i := range vec {
@@ -251,7 +290,7 @@ func (s *Scorer) Vector(doc string) Vector {
 }
 
 // value reproduces Transform's per-feature weight for a touched index.
-func (s *Scorer) value(idx int32) float64 {
+func (s *Scorer) value(idx int) float64 {
 	tf := float64(s.tf[idx])
 	if s.vz.opts.SublinearTF {
 		tf = 1 + math.Log(tf)

@@ -1,6 +1,7 @@
 package tfidf
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -212,5 +213,103 @@ func TestSnapshotAliasing(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Restore aliased its inputs: %v vs %v", got, want)
 		}
+	}
+}
+
+// bitmapCorpus is a corpus of n terms: term i is fmt.Sprintf("w%05d", i),
+// so vocabulary index i is term i, and document frequencies vary with i
+// so IDF weights differ. At n > 4096 the vocabulary spans two summary
+// words of the scorer's touched bitmap.
+func bitmapCorpus(n int) []string {
+	docs := make([]string, 8)
+	for i := 0; i < n; i++ {
+		for d := 0; d <= i%len(docs); d++ {
+			docs[(i+d)%len(docs)] += fmt.Sprintf("w%05d ", i)
+		}
+	}
+	return docs
+}
+
+// termsAt builds a document touching the given vocabulary indices, index
+// k of them repeated k+1 times, plus a term outside the vocabulary.
+func termsAt(idx ...int) string {
+	var b strings.Builder
+	for k, i := range idx {
+		for r := 0; r <= k; r++ {
+			fmt.Fprintf(&b, "w%05d ", i)
+		}
+	}
+	b.WriteString("zz_unknown")
+	return b.String()
+}
+
+// checkScorer holds one scorer's DotNormalized and Vector to Transform,
+// bit for bit, on every document in order.
+func checkScorer(t *testing.T, label string, vz *Vectorizer, s *Scorer, docs []string) {
+	t.Helper()
+	weights := make([]float64, vz.VocabSize())
+	for i := range weights {
+		weights[i] = math.Sin(float64(i)*1.7) * 0.3
+	}
+	for _, doc := range docs {
+		want := vz.Transform(doc)
+		got := s.Vector(doc)
+		if len(got) != len(want) {
+			t.Fatalf("%s doc %.40q: Vector has %d features, Transform %d", label, doc, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Index != want[i].Index || math.Float64bits(got[i].Value) != math.Float64bits(want[i].Value) {
+				t.Fatalf("%s doc %.40q: feature %d is %+v, Transform's %+v", label, doc, i, got[i], want[i])
+			}
+		}
+		dot, _ := s.DotNormalized(doc, weights)
+		if wantDot := refDot(want, weights); math.Float64bits(dot) != math.Float64bits(wantDot) {
+			t.Fatalf("%s doc %.40q: dot %v, reference %v", label, doc, dot, wantDot)
+		}
+	}
+}
+
+// TestScorerBitmapBoundaries: touched indices on the bitmap's word and
+// summary-word boundaries come back in ascending order with their exact
+// values, and a document leaves no bit behind for the next one to read
+// (each document below shares a bitmap word with the one before it).
+func TestScorerBitmapBoundaries(t *testing.T) {
+	for _, opts := range []Options{{}, {SublinearTF: true}} {
+		vz := NewVectorizer(opts)
+		vz.Fit(bitmapCorpus(5000))
+		last := vz.VocabSize() - 1
+		if last < 4096 {
+			t.Fatalf("vocabulary of %d terms does not reach index 4096", vz.VocabSize())
+		}
+		docs := []string{
+			termsAt(0, 63, 64, 4095, 4096, last),
+			termsAt(63),
+			termsAt(4096, 64, 4095),
+			termsAt(last, 0),
+			termsAt(),
+			termsAt(1, 62, 65, 4094, 4097, last-1),
+			termsAt(last, 4096, 4095, 64, 63, 0),
+		}
+		s := vz.NewScorer()
+		for round := 0; round < 2; round++ {
+			checkScorer(t, fmt.Sprintf("opts %+v round %d", opts, round), vz, s, docs)
+		}
+	}
+}
+
+// TestScorerRefit: a scorer built before its vectorizer was fitted, and
+// reused across refits that grow and shrink the vocabulary, resizes its
+// scratch and stays bit-identical to Transform.
+func TestScorerRefit(t *testing.T) {
+	vz := NewVectorizer(Options{})
+	s := vz.NewScorer()
+	for _, n := range []int{100, 5000, 300} {
+		vz.Fit(bitmapCorpus(n))
+		last := vz.VocabSize() - 1
+		checkScorer(t, fmt.Sprintf("vocab %d", vz.VocabSize()), vz, s, []string{
+			termsAt(0, 63, 64, last),
+			termsAt(last, 1),
+			termsAt(0, 4095, 4096, 4999),
+		})
 	}
 }

@@ -27,15 +27,17 @@ vet:
 test:
 	$(GO) test ./...
 
-# The second run repeats internal/parallel ten times: its claim counter is
-# shared by every worker of every fan-out, and an interleaving the race
-# detector misses in one run can show in another. internal/core alone
-# takes 385-407 s under the race detector on a two-core VM, so the
+# The second run repeats internal/parallel and internal/leakcheck ten
+# times. parallel's claim counter is shared by every worker of every
+# fan-out, and an interleaving the race detector misses in one run can
+# show in another. leakcheck's self-tests read the process-wide goroutine
+# count, so a flaky one shows here instead of now and then. internal/core
+# alone takes 385-407 s under the race detector on a two-core VM, so the
 # per-binary limit is 30m, as in chaos and resume-soak, not go test's
 # default 10m.
 test-race:
 	$(GO) test -race -timeout 30m ./...
-	$(GO) test -race -count=10 ./internal/parallel
+	$(GO) test -race -count=10 ./internal/parallel ./internal/leakcheck
 
 # Native fuzzing, 5s per target: every parser fed by the network (listing,
 # catalog, thread, Retry-After header, profile HTML), the text-pipeline

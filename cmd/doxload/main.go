@@ -85,7 +85,6 @@ func main() {
 			}
 		}
 		st := stack.New(stack.Config{Seed: *seed, Scale: *scale, Faults: profile, Telemetry: hub})
-		hub.Tracer.VirtualNow = st.Clock.Now
 		if *days > 0 {
 			st.Clock.Advance(time.Duration(*days) * simclock.Day)
 		}

@@ -53,7 +53,6 @@ func main() {
 
 	hub := telemetry.NewHub(0, nil)
 	st := stack.New(stack.Config{Seed: *seed, Scale: *scale, Faults: profile, Telemetry: hub})
-	hub.Tracer.VirtualNow = st.Clock.Now
 
 	if *adminAddr != "" {
 		go func() {
@@ -65,7 +64,7 @@ func main() {
 	}
 
 	fmt.Printf("doxsites serving %d documents and %d social accounts on http://%s\n",
-		st.Corpus.TotalDocs(), len(st.Universe.Accounts()), *addr)
+		st.Corpus().TotalDocs(), len(st.Universe.Accounts()), *addr)
 	fmt.Printf("virtual clock starts at %s; advance with /admin/advance?days=N\n",
 		st.Clock.Now().Format("2006-01-02"))
 	if err := http.ListenAndServe(*addr, st.Mux); err != nil {

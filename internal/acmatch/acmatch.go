@@ -28,7 +28,6 @@ type Hit struct {
 // range (>= firstOut): the scan loop then detects matches with a single
 // register compare instead of two out-table loads per input byte.
 type Matcher struct {
-	pats []string
 	// delta is the DFA transition table: delta[state*256+b] is the next
 	// state after reading byte b.
 	delta []int32
@@ -132,7 +131,6 @@ func New(patterns []string) *Matcher {
 		}
 	}
 	m := &Matcher{
-		pats:     append([]string(nil), patterns...),
 		delta:    delta,
 		firstOut: firstOut,
 		out:      make([]int32, nOut+1),
@@ -159,10 +157,6 @@ func New(patterns []string) *Matcher {
 	}
 	return m
 }
-
-// Patterns returns the pattern set the automaton was built from, in index
-// order (Hit.Pattern indexes it).
-func (m *Matcher) Patterns() []string { return m.pats }
 
 // Scan finds every occurrence of every pattern in text, appending to hits
 // (pass hits[:0] of a reusable buffer for an allocation-free scan) and

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"math/rand"
-
 	"doxmeter/internal/geo"
 	"doxmeter/internal/graph"
 	"doxmeter/internal/label"
@@ -301,14 +299,4 @@ func dedupeStrings(in []string) []string {
 		}
 	}
 	return out
-}
-
-// PermSample returns n indexes sampled without replacement (helper for
-// examples).
-func PermSample(r *rand.Rand, total, n int) []int {
-	idx := r.Perm(total)
-	if n > total {
-		n = total
-	}
-	return idx[:n]
 }

@@ -35,16 +35,12 @@ import (
 	"doxmeter/internal/label"
 	"doxmeter/internal/monitor"
 	"doxmeter/internal/netid"
-	"doxmeter/internal/osn"
 	"doxmeter/internal/parallel"
 	"doxmeter/internal/randutil"
-	"doxmeter/internal/sim"
 	"doxmeter/internal/simclock"
-	"doxmeter/internal/sites"
 	"doxmeter/internal/store"
 	"doxmeter/internal/stream"
 	"doxmeter/internal/telemetry"
-	"doxmeter/internal/textgen"
 )
 
 // StudyConfig parameterizes a full study run.
@@ -244,18 +240,11 @@ type DoxRecord struct {
 	Geo        GeoOutcome   // §4.1 IP-vs-postal comparison, precomputed
 }
 
-// Study owns a full pipeline run. Create with NewStudy, execute with Run,
-// then read Results.
+// Study owns a full pipeline run over its own simulated substrate.
+// Create with NewStudy, execute with Run, then read Results.
 type Study struct {
-	Cfg   StudyConfig
-	World *sim.World
-	Gen   *textgen.Generator
-	Clock *simclock.Clock
-
-	Universe *osn.Universe
-	Pastebin *sites.Pastebin
-	Fourchan *sites.BoardSite
-	Eightch  *sites.BoardSite
+	Cfg StudyConfig
+	*Substrate
 
 	Classifier *classifier.Classifier
 	ClfEval    classifier.EvalResult
@@ -279,9 +268,6 @@ type Study struct {
 	fanout   *stream.Fanout
 	polledAt map[string]time.Time
 
-	// Injectors maps service name (pastebin, fourchan, eightch, osn) to
-	// its fault injector; empty when StudyConfig.Faults is nil.
-	Injectors map[string]*faults.Injector
 	// PollFailures counts the polls per source that still failed after all
 	// retries. Each failed poll degrades that day's sweep; the documents
 	// involved stay uncommitted in the crawler and are collected by a
@@ -302,7 +288,6 @@ type Study struct {
 	Doxes           []*DoxRecord
 	pastebinP1Docs  []crawler.Doc   // period-1 pastebin docs for Table 3
 	flaggedP1       map[string]bool // period-1 pastebin IDs flagged as dox
-	corpus          *textgen.Corpus
 
 	// CheckpointsWritten counts snapshots persisted by this process
 	// (provenance for doxpipeline -json).
@@ -347,42 +332,31 @@ var ErrStopped = errors.New("core: study stopped by request after checkpoint")
 // signal handler).
 func (s *Study) RequestStop() { s.stopReq.Store(true) }
 
-// Corpus exposes the generated document population (ground truth; used by
-// graders and secondary-venue analyses, never by the pipeline itself).
-func (s *Study) Corpus() *textgen.Corpus { return s.corpus }
-
-// NewStudy builds the world, trains the classifier (recording its Table 1
-// evaluation), and stands up the simulated services in-process.
+// NewStudy builds the simulated substrate, trains the classifier
+// (recording its Table 1 evaluation) and mounts the substrate's services
+// in-process.
 func NewStudy(cfg StudyConfig) (*Study, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	sub, examples := NewSubstrate(cfg.Seed, cfg.Scale, cfg.Faults, cfg.Telemetry)
 	s := &Study{
 		Cfg:             cfg,
-		Clock:           simclock.NewClock(simclock.Period1.Start),
+		Substrate:       sub,
 		Deduper:         dedup.New(),
 		CollectedBySite: make(map[string]int),
-		Injectors:       make(map[string]*faults.Injector),
 		PollFailures:    make(map[string]int),
 		polledAt:        make(map[string]time.Time),
 		flaggedP1:       make(map[string]bool),
 		rng:             randutil.New(cfg.Seed ^ 0x636f7265), // "core"
 		m:               newStudyMetrics(cfg.Telemetry),
 	}
-	// Spans record virtual time from the study clock; the hub outlives the
-	// study, so a later study on the same hub simply re-points this.
-	if tr := cfg.Telemetry.Trc(); tr != nil {
-		tr.VirtualNow = s.Clock.Now
-	}
 	if cfg.RecordCollectedIDs {
 		s.CollectedIDs = make(map[string]time.Time)
 	}
-	s.World = sim.NewWorld(sim.Default(cfg.Seed, cfg.Scale))
-	s.Gen = textgen.New(s.World)
 
 	// Train and evaluate the classifier on the labeled corpus (§3.1.2).
-	examples := s.Gen.TrainingSet()
 	exs := make([]classifier.Example, len(examples))
 	for i, ex := range examples {
 		exs[i] = classifier.Example{Body: ex.Body, IsDox: ex.IsDox}
@@ -393,106 +367,31 @@ func NewStudy(cfg StudyConfig) (*Study, error) {
 	}
 	s.Classifier, s.ClfEval = clf, eval
 
-	// Generate the corpus and stand up the sites. The corpus is retained
-	// (strings are shared with the site copies, so this is cheap) for
-	// post-study analyses that need ground truth or secondary venues.
-	corpus := s.Gen.Corpus()
-	s.corpus = corpus
-	s.Pastebin = sites.NewPastebin(s.Clock, corpus.Streams[textgen.SitePastebin], sites.DefaultDeletionModel(), cfg.Seed+1)
-	s.Fourchan = sites.NewBoardSite(s.Clock, map[string][]textgen.Doc{
-		"b":   corpus.Streams[textgen.SiteFourchanB],
-		"pol": corpus.Streams[textgen.SiteFourchanPol],
-	}, cfg.Seed+2)
-	s.Eightch = sites.NewBoardSite(s.Clock, map[string][]textgen.Doc{
-		"pol":      corpus.Streams[textgen.SiteEightchPol],
-		"baphomet": corpus.Streams[textgen.SiteEightchBapho],
-	}, cfg.Seed+3)
-
-	// The OSN universe reacts to doxes when they are *posted*, independent
-	// of whether our pipeline finds them: scan ground truth for each
-	// victim's first posting and inform the universe.
-	s.Universe = osn.NewUniverse(s.Clock, s.World, cfg.Seed+4)
-	firstDox := map[int]time.Time{}
-	for _, site := range textgen.AllSites() {
-		for i := range corpus.Streams[site] {
-			doc := &corpus.Streams[site][i]
-			if !doc.IsDox() {
-				continue
-			}
-			v := doc.Truth.Victim
-			if t, ok := firstDox[v.ID]; !ok || doc.Posted.Before(t) {
-				firstDox[v.ID] = doc.Posted
-			}
-		}
-	}
-	for _, v := range s.World.Victims {
-		t, ok := firstDox[v.ID]
-		if !ok {
-			continue
-		}
-		// Fixed network order: RecordDox draws the owner's reaction from
-		// the shared universe RNG, so map-order iteration here would make
-		// reaction times differ from run to run.
-		for _, n := range netid.All() {
-			user, ok := v.OSN[n]
-			if !ok {
-				continue
-			}
-			ref := netid.Ref{Network: n, Username: user}
-			s.Universe.RecordDox(ref, t)
-			s.Universe.TriggerAbuse(ref, t)
-		}
-	}
-
-	// Stand up the simulated services, optionally behind per-service fault
-	// injectors. Each injector derives an independent seed from the
-	// study-level profile so fault streams don't correlate across sites.
-	// The HTTP metrics middleware sits outermost so per-route counters see
-	// exactly what the crawlers see, injected faults included.
-	reg := cfg.Telemetry.Reg()
-	wrap := func(name string, h http.Handler) http.Handler {
-		if cfg.Faults != nil {
-			in := faults.NewInjector(cfg.Faults.ForService(name), s.Clock, h)
-			in.Instrument(reg, name)
-			s.Injectors[name] = in
-			h = in
-		}
-		routeOf := telemetry.NormalizePath
-		if name == "osn" {
-			routeOf = osn.RouteLabel
-		}
-		return telemetry.HTTPMetrics(reg, name, routeOf, h)
-	}
 	// The services run in-process: the crawlers and the monitor reach each
-	// wrapped handler through localTransport under a fixed host name, and
+	// substrate handler through localTransport under a fixed host name, and
 	// no port is bound (doxsites serves the same handlers over HTTP).
 	// Fault keys are path and query, so no result depends on the host.
-	lt := &localTransport{handlers: make(map[string]http.Handler, 4)}
-	mount := func(name string, h http.Handler) (baseURL string) {
-		host := name + ".sim"
-		lt.handlers[host] = wrap(name, h)
-		return "http://" + host
+	lt := &localTransport{handlers: make(map[string]http.Handler, len(sub.Handlers))}
+	for name, h := range sub.Handlers {
+		lt.handlers[name+".sim"] = h
 	}
-	pbURL := mount("pastebin", s.Pastebin.Handler())
-	fourURL := mount("fourchan", s.Fourchan.Handler())
-	eightURL := mount("eightch", s.Eightch.Handler())
-	osnURL := mount("osn", s.Universe.Handler())
+	reg := cfg.Telemetry.Reg()
 	opts := cfg.Crawl
 	opts.Client = &http.Client{Transport: lt}
 	opts.Concurrency = cfg.Parallelism
 	opts.Telemetry = reg // site label defaults per constructor
-	s.crawlers.pastebin = crawler.NewPastebin(pbURL, opts)
+	s.crawlers.pastebin = crawler.NewPastebin("http://pastebin.sim", opts)
 	s.crawlers.boards = []*crawler.Board{
-		crawler.NewBoard(fourURL, "b", "4chan/b", opts),
-		crawler.NewBoard(fourURL, "pol", "4chan/pol", opts),
-		crawler.NewBoard(eightURL, "pol", "8ch/pol", opts),
-		crawler.NewBoard(eightURL, "baphomet", "8ch/baphomet", opts),
+		crawler.NewBoard("http://fourchan.sim", "b", "4chan/b", opts),
+		crawler.NewBoard("http://fourchan.sim", "pol", "4chan/pol", opts),
+		crawler.NewBoard("http://eightch.sim", "pol", "8ch/pol", opts),
+		crawler.NewBoard("http://eightch.sim", "baphomet", "8ch/baphomet", opts),
 	}
 	mopts := opts
 	mopts.TelemetrySite = "monitor"
 	s.Monitor = monitor.New(monitor.Config{
 		Clock:       s.Clock,
-		BaseURL:     osnURL,
+		BaseURL:     "http://osn.sim",
 		EndAt:       simclock.Period2.End,
 		Fetch:       &mopts,
 		Parallelism: cfg.Parallelism,
@@ -524,16 +423,6 @@ func (s *Study) FetchStats() crawler.FetchStats {
 		agg = agg.Plus(b.Stats())
 	}
 	return agg.Plus(s.Monitor.FetchStats())
-}
-
-// FaultCounters aggregates every injector's tallies; all-zero when fault
-// injection is off.
-func (s *Study) FaultCounters() faults.Counters {
-	var agg faults.Counters
-	for _, in := range s.Injectors {
-		agg = agg.Plus(in.Counters())
-	}
-	return agg
 }
 
 // Close releases the study. Its simulated services run in-process and
@@ -697,17 +586,7 @@ func (s *Study) collectOnce(ctx context.Context, p simclock.Period, periodNo int
 		sp.SetAttr("docs", strconv.Itoa(len(polled[i])))
 		sp.End()
 	}
-	if s.Cfg.Parallelism <= 1 {
-		for i := range sources {
-			if err := ctx.Err(); err != nil {
-				pollSpan.End()
-				return err
-			}
-			pollOne(i)
-		}
-	} else {
-		parallel.ForEach(len(sources), s.Cfg.Parallelism, pollOne)
-	}
+	parallel.ForEach(len(sources), s.Cfg.Parallelism, pollOne)
 	pollSpan.End()
 	s.m.stagePoll.Observe(time.Since(pollStart).Seconds())
 	// A cancelled day commits nothing, even where every poll finished:

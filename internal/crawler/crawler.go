@@ -750,13 +750,15 @@ func (b *breaker) record(healthy bool) bool {
 // crawl data, shared by Poll and the fuzz targets; every parse failure
 // wraps ErrCorruptPayload so fetch-level validation and quarantine logic
 // key off one sentinel.
-
-// The Into variants decode into caller-owned storage so the pollers can
-// reuse one decode target across pages and threads (json.Unmarshal reuses a
-// slice's backing array when the capacity suffices). The value-returning
-// wrappers remain the fuzz-target entry points.
+//
+// They decode into caller-owned storage so the pollers can reuse one decode
+// target across pages and threads (json.Unmarshal reuses a slice's backing
+// array when the capacity suffices). json.Unmarshal leaves any field the
+// new JSON omits as it was, so every reused element is zeroed first: a
+// 4chan post without "com" must not keep the previous thread's text.
 
 func parseListingInto(raw []byte, dst []pasteMeta) ([]pasteMeta, error) {
+	clear(dst[:cap(dst)])
 	dst = dst[:0]
 	if err := json.Unmarshal(raw, &dst); err != nil {
 		return dst[:0], fmt.Errorf("bad listing: %w (%v)", ErrCorruptPayload, err)
@@ -765,6 +767,13 @@ func parseListingInto(raw []byte, dst []pasteMeta) ([]pasteMeta, error) {
 }
 
 func parseCatalogInto(raw []byte, dst []catalogPage) ([]catalogPage, error) {
+	dst = dst[:cap(dst)]
+	for i := range dst {
+		// Keep each page's thread array; it is cleared like the pages.
+		threads := dst[i].Threads
+		clear(threads[:cap(threads)])
+		dst[i] = catalogPage{Threads: threads[:0]}
+	}
 	dst = dst[:0]
 	if err := json.Unmarshal(raw, &dst); err != nil {
 		return dst[:0], fmt.Errorf("bad catalog: %w (%v)", ErrCorruptPayload, err)
@@ -773,6 +782,7 @@ func parseCatalogInto(raw []byte, dst []catalogPage) ([]catalogPage, error) {
 }
 
 func parseThreadInto(raw []byte, tj *threadJSON) error {
+	clear(tj.Posts[:cap(tj.Posts)])
 	tj.Posts = tj.Posts[:0]
 	if err := json.Unmarshal(raw, tj); err != nil {
 		tj.Posts = tj.Posts[:0]
@@ -780,34 +790,6 @@ func parseThreadInto(raw []byte, tj *threadJSON) error {
 	}
 	return nil
 }
-
-func parseListing(raw []byte) ([]pasteMeta, error) {
-	page, err := parseListingInto(raw, nil)
-	if err != nil {
-		return nil, err
-	}
-	return page, nil
-}
-
-func parseCatalog(raw []byte) ([]catalogPage, error) {
-	pages, err := parseCatalogInto(raw, nil)
-	if err != nil {
-		return nil, err
-	}
-	return pages, nil
-}
-
-func parseThread(raw []byte) (threadJSON, error) {
-	var tj threadJSON
-	if err := parseThreadInto(raw, &tj); err != nil {
-		return threadJSON{}, err
-	}
-	return tj, nil
-}
-
-func validListing(raw []byte) error { _, err := parseListing(raw); return err }
-func validCatalog(raw []byte) error { _, err := parseCatalog(raw); return err }
-func validThread(raw []byte) error  { _, err := parseThread(raw); return err }
 
 // Pastebin incrementally crawls a pastebin-style scraping API.
 type Pastebin struct {

@@ -2,15 +2,19 @@ package crawler
 
 import (
 	"errors"
-	"reflect"
+	"slices"
 	"testing"
 )
 
 // Fuzz targets for the crawler's three byte-level parsers. A live crawl
 // feeds these functions whatever a faulting, truncating, corrupting
 // network delivers, so the contract under fuzzing is total safety: no
-// panic on any input, errors always wrap ErrCorruptPayload, and parsing is
-// deterministic (same bytes, same result).
+// panic on any input, errors always wrap ErrCorruptPayload, and a failed
+// parse returns nothing. The pollers decode each payload into storage the
+// previous one filled, so every target decodes into a target dirtied by a
+// full payload and requires what a fresh decode returns: a field the new
+// JSON omits must not keep the old value. The seeds that omit a field
+// check exactly that.
 
 func fuzzSeeds(f *testing.F, seeds ...string) {
 	f.Helper()
@@ -19,27 +23,49 @@ func fuzzSeeds(f *testing.F, seeds ...string) {
 	}
 }
 
+// decodeUsed decodes full into a fresh target and then raw into the same
+// target, as a poller's second fetch does.
+func decodeUsed[T any](t *testing.T, full string, parse func([]byte, T) (T, error), raw []byte) (T, error) {
+	t.Helper()
+	var zero T
+	used, err := parse([]byte(full), zero)
+	if err != nil {
+		t.Fatalf("full payload: %v", err)
+	}
+	return parse(raw, used)
+}
+
+func checkParse(t *testing.T, err, fresh error, n int) {
+	t.Helper()
+	if err != nil && !errors.Is(err, ErrCorruptPayload) {
+		t.Fatalf("parse error does not wrap ErrCorruptPayload: %v", err)
+	}
+	if err != nil && n != 0 {
+		t.Fatalf("failed parse returned %d partial entries", n)
+	}
+	if (err == nil) != (fresh == nil) {
+		t.Fatalf("decode into a used target: error %v; fresh decode: %v", err, fresh)
+	}
+}
+
 func FuzzParseListing(f *testing.F) {
 	fuzzSeeds(f,
 		`[]`,
 		`[{"key":"abc123","title":"dox","date":1468800000}]`,
+		`[{"key":"abc123","date":1468800000}]`,   // no title
 		`[{"key":"abc123","title":"dox","date":`, // truncated mid-value
 		`[{"key":"abc123"},{`,                    // truncated mid-object
 		"\x00\x1finjected-corruption 00000000 {{{",
 		`{"key":"not-an-array"}`,
 		`[{"key":1,"date":"backwards-types"}]`,
 	)
+	const full = `[{"key":"old1","title":"old title","date":1468700000},{"key":"old2","title":"old title 2","date":1468700001}]`
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		page, err := parseListing(raw)
-		if err != nil && !errors.Is(err, ErrCorruptPayload) {
-			t.Fatalf("parse error does not wrap ErrCorruptPayload: %v", err)
-		}
-		if err != nil && page != nil {
-			t.Fatal("failed parse returned a partial listing")
-		}
-		again, err2 := parseListing(raw)
-		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(page, again) {
-			t.Fatal("parseListing not deterministic")
+		want, werr := parseListingInto(raw, nil)
+		page, err := decodeUsed(t, full, parseListingInto, raw)
+		checkParse(t, err, werr, len(page))
+		if !slices.Equal(page, want) {
+			t.Fatalf("decode into a used target = %+v; fresh decode = %+v", page, want)
 		}
 	})
 }
@@ -48,19 +74,21 @@ func FuzzParseCatalog(f *testing.F) {
 	fuzzSeeds(f,
 		`[]`,
 		`[{"page":0,"threads":[{"no":1,"last_modified":10}]}]`,
-		`[{"page":0,"threads":[{"no":1,"last_mod`, // truncated mid-key
+		`[{"page":0,"threads":[{"no":1}]}]`,                      // no last_modified
+		`[{"threads":[{"no":1,"last_modified":10}]},{"page":1}]`, // no page, no threads
+		`[{"page":0,"threads":[{"no":1,"last_mod`,                // truncated mid-key
 		`[{"page":"zero"}]`,
 		"\xff\xfe\xfd",
 		`[[[[[[`,
 	)
+	const full = `[{"page":0,"threads":[{"no":1,"last_modified":10},{"no":2,"last_modified":20}]},{"page":1,"threads":[{"no":3,"last_modified":30}]}]`
+	samePage := func(a, b catalogPage) bool { return a.Page == b.Page && slices.Equal(a.Threads, b.Threads) }
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		pages, err := parseCatalog(raw)
-		if err != nil && !errors.Is(err, ErrCorruptPayload) {
-			t.Fatalf("parse error does not wrap ErrCorruptPayload: %v", err)
-		}
-		again, err2 := parseCatalog(raw)
-		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(pages, again) {
-			t.Fatal("parseCatalog not deterministic")
+		want, werr := parseCatalogInto(raw, nil)
+		pages, err := decodeUsed(t, full, parseCatalogInto, raw)
+		checkParse(t, err, werr, len(pages))
+		if !slices.EqualFunc(pages, want, samePage) {
+			t.Fatalf("decode into a used target = %+v; fresh decode = %+v", pages, want)
 		}
 	})
 }
@@ -69,26 +97,25 @@ func FuzzParseThread(f *testing.F) {
 	fuzzSeeds(f,
 		`{"posts":[]}`,
 		`{"posts":[{"no":101,"time":5,"com":"<b>hi</b>"}]}`,
+		`{"posts":[{"no":101,"time":5}]}`,         // no com: a post without text
 		`{"posts":[{"no":101,"time":5,"com":"tru`, // truncated mid-string
 		`{"posts":{"no":101}}`,
 		`null`,
 		"{",
 	)
+	const full = `{"posts":[{"no":1,"time":1,"com":"old text"},{"no":2,"time":2,"com":"old text 2"}]}`
+	parse := func(raw []byte, tj *threadJSON) (*threadJSON, error) {
+		if tj == nil {
+			tj = new(threadJSON)
+		}
+		return tj, parseThreadInto(raw, tj)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		tj, err := parseThread(raw)
-		if err != nil && !errors.Is(err, ErrCorruptPayload) {
-			t.Fatalf("parse error does not wrap ErrCorruptPayload: %v", err)
-		}
-		if err != nil && len(tj.Posts) != 0 {
-			t.Fatal("failed parse returned partial posts")
-		}
-		again, err2 := parseThread(raw)
-		if (err == nil) != (err2 == nil) || !reflect.DeepEqual(tj, again) {
-			t.Fatal("parseThread not deterministic")
-		}
-		// The validator view must agree with the parser.
-		if verr := validThread(raw); (verr == nil) != (err == nil) {
-			t.Fatal("validThread disagrees with parseThread")
+		want, werr := parse(raw, nil)
+		tj, err := decodeUsed(t, full, parse, raw)
+		checkParse(t, err, werr, len(tj.Posts))
+		if !slices.Equal(tj.Posts, want.Posts) {
+			t.Fatalf("decode into a used target = %+v; fresh decode = %+v", tj.Posts, want.Posts)
 		}
 	})
 }

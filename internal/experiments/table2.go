@@ -5,7 +5,6 @@ import (
 	"doxmeter/internal/extract"
 	"doxmeter/internal/netid"
 	"doxmeter/internal/randutil"
-	"doxmeter/internal/sim"
 )
 
 // MeasureTable2 reproduces the extractor evaluation (§3.1.3): randomly
@@ -89,19 +88,4 @@ type AblationResult struct {
 	Precision float64
 	Recall    float64
 	F1        float64
-}
-
-// VictimsForExample exposes a few victims for example programs without
-// leaking the whole world API surface.
-func VictimsForExample(s *core.Study, community sim.Community, n int) []*sim.Victim {
-	var out []*sim.Victim
-	for _, v := range s.World.Victims {
-		if v.Community == community {
-			out = append(out, v)
-			if len(out) == n {
-				break
-			}
-		}
-	}
-	return out
 }

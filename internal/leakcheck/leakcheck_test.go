@@ -32,16 +32,37 @@ func (r *recordTB) Fatalf(format string, args ...any) {
 	r.msg = format
 }
 
-// TestWaitReportsLeak: a goroutine that never exits fails the check
-// once the deadline passes.
+// TestWaitReportsLeak: goroutines that never exit fail the check once
+// the deadline passes. A goroutine of an earlier test (or of this test's
+// previous -count run) may still be exiting when the test starts, and
+// once it exits a single leak would bring the count back to a baseline
+// read before it. So the baseline is read only once the count has held
+// still, and the test leaks more goroutines than a straggler could mask.
 func TestWaitReportsLeak(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := steadyCount()
 	stop := make(chan struct{})
 	defer close(stop)
-	go func() { <-stop }()
+	for range 4 {
+		go func() { <-stop }()
+	}
 	rec := &recordTB{TB: t}
 	wait(rec, before, 50*time.Millisecond)
 	if !strings.Contains(rec.msg, "goroutines still running") {
-		t.Fatalf("leaked goroutine not reported; Fatalf format = %q", rec.msg)
+		t.Fatalf("leaked goroutines not reported; Fatalf format = %q", rec.msg)
 	}
+}
+
+// steadyCount returns runtime.NumGoroutine once it has read the same value
+// ten times in a row, a millisecond apart.
+func steadyCount() int {
+	n, same := runtime.NumGoroutine(), 1
+	for same < 10 {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			same++
+		} else {
+			n, same = m, 0
+		}
+	}
+	return n
 }

@@ -1,7 +1,6 @@
 package monitor
 
 import (
-	"sort"
 	"time"
 
 	"doxmeter/internal/netid"
@@ -279,10 +278,4 @@ func VerifiedCount(histories []*History) (verified, nonexistent int) {
 		}
 	}
 	return verified, nonexistent
-}
-
-// SortByDoxTime orders histories chronologically (stable helper for
-// reports).
-func SortByDoxTime(histories []*History) {
-	sort.Slice(histories, func(i, j int) bool { return histories[i].DoxSeenAt.Before(histories[j].DoxSeenAt) })
 }

@@ -104,13 +104,6 @@ func NewMirror(clock *simclock.Clock, corpus *textgen.Corpus, gen *textgen.Gener
 	return m
 }
 
-// DocCount returns the number of hosted files.
-func (m *Mirror) DocCount() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.docs)
-}
-
 // MirrorEntry is one index row.
 type MirrorEntry struct {
 	ID     string `json:"id"`

@@ -195,8 +195,5 @@ func (p *Pastebin) IsDeleted(id string, at time.Time) bool {
 	return ok && !at.Before(delAt)
 }
 
-// DocCount returns the total number of hosted documents.
-func (p *Pastebin) DocCount() int { return len(p.docs) }
-
 // Requests returns how many API requests the service has handled.
 func (p *Pastebin) Requests() int64 { return p.requests.Load() }

@@ -1,9 +1,3 @@
-// Package stack wires the command-line front ends to the study engine.
-// It holds the flag surfaces every binary would otherwise duplicate —
-// currently the durability block (-state-dir, -checkpoint-mode, -resume)
-// that doxpipeline and doxnotify both expose — so flag names, defaults,
-// help strings and the validation rules stay identical across commands.
-// A durable run cuts a checkpoint at the end of every study day.
 package stack
 
 import (

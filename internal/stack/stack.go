@@ -1,9 +1,16 @@
-// Package stack assembles the full simulated serving stack — world, corpus,
-// virtual clock, the text-sharing sites, the OSN profile service, optional
-// per-service fault injectors and the admin endpoints — behind a single
-// http.Handler. cmd/doxsites serves it on a port for interactive
-// exploration; cmd/doxload embeds it in-process for self-hosted load runs.
-// Both therefore expose byte-identical route layouts and fault behaviour.
+// Package stack wires the command-line front ends to the study engine,
+// so flag names, defaults, help strings and behaviour stay identical
+// across commands:
+//
+//   - Durability is the durable-run flag block (-state-dir,
+//     -checkpoint-mode, -resume) that doxpipeline and doxnotify share;
+//     a durable run cuts a checkpoint at the end of every study day.
+//   - StudyFaults is the fault preset for a study whose services run
+//     in-process.
+//   - Stack serves core's simulated substrate over HTTP, with admin
+//     endpoints, for cmd/doxsites and cmd/doxload's self-hosted mode: the
+//     same handlers, and the same world, a study at that seed and scale
+//     crawls.
 package stack
 
 import (
@@ -13,13 +20,10 @@ import (
 	"strconv"
 	"time"
 
+	"doxmeter/internal/core"
 	"doxmeter/internal/faults"
-	"doxmeter/internal/osn"
-	"doxmeter/internal/sim"
 	"doxmeter/internal/simclock"
-	"doxmeter/internal/sites"
 	"doxmeter/internal/telemetry"
-	"doxmeter/internal/textgen"
 )
 
 // Config parameterizes one stack.
@@ -35,18 +39,9 @@ type Config struct {
 	Telemetry *telemetry.Hub
 }
 
-// Stack is one assembled serving stack.
+// Stack is one simulated substrate behind one http.Handler.
 type Stack struct {
-	Clock    *simclock.Clock
-	World    *sim.World
-	Corpus   *textgen.Corpus
-	Universe *osn.Universe
-	Pastebin *sites.Pastebin
-	Fourchan *sites.BoardSite
-	Eightch  *sites.BoardSite
-	// Injectors maps service name (pastebin, fourchan, eightch, osn) to
-	// its fault injector; empty without Config.Faults.
-	Injectors map[string]*faults.Injector
+	*core.Substrate
 	// Mux serves every site under its prefix plus the admin endpoints:
 	//
 	//	/pastebin/api_scraping.php?since=0&limit=50
@@ -62,48 +57,21 @@ type Stack struct {
 	Mux *http.ServeMux
 }
 
-// New builds the world and wires every service into Mux. Deterministic for
-// a fixed (Seed, Scale): the same corpus, thread numbers and account
-// population every time.
+// New builds the substrate and wires every service into Mux. Deterministic
+// for a fixed (Seed, Scale), and the same world core.NewStudy crawls at
+// that seed and scale.
 func New(cfg Config) *Stack {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 0.01
 	}
-	st := &Stack{
-		Clock:     simclock.NewClock(simclock.Period1.Start),
-		Injectors: map[string]*faults.Injector{},
-	}
-	st.World = sim.NewWorld(sim.Default(cfg.Seed, cfg.Scale))
-	gen := textgen.New(st.World)
-	st.Corpus = gen.Corpus()
-
-	st.Pastebin = sites.NewPastebin(st.Clock, st.Corpus.Streams[textgen.SitePastebin], sites.DefaultDeletionModel(), cfg.Seed+1)
-	st.Fourchan = sites.NewBoardSite(st.Clock, map[string][]textgen.Doc{
-		"b":   st.Corpus.Streams[textgen.SiteFourchanB],
-		"pol": st.Corpus.Streams[textgen.SiteFourchanPol],
-	}, cfg.Seed+2)
-	st.Eightch = sites.NewBoardSite(st.Clock, map[string][]textgen.Doc{
-		"pol":      st.Corpus.Streams[textgen.SiteEightchPol],
-		"baphomet": st.Corpus.Streams[textgen.SiteEightchBapho],
-	}, cfg.Seed+3)
-	st.Universe = osn.NewUniverse(st.Clock, st.World, cfg.Seed+4)
-
-	reg := cfg.Telemetry.Reg()
-	wrap := func(name string, h http.Handler, routeOf func(*http.Request) string) http.Handler {
-		if cfg.Faults != nil {
-			in := faults.NewInjector(cfg.Faults.ForService(name), st.Clock, h)
-			in.Instrument(reg, name)
-			st.Injectors[name] = in
-			h = in
-		}
-		return telemetry.HTTPMetrics(reg, name, routeOf, h)
-	}
+	sub, _ := core.NewSubstrate(cfg.Seed, cfg.Scale, cfg.Faults, cfg.Telemetry)
+	st := &Stack{Substrate: sub}
 
 	mux := http.NewServeMux()
-	mux.Handle("/pastebin/", http.StripPrefix("/pastebin", wrap("pastebin", st.Pastebin.Handler(), nil)))
-	mux.Handle("/4chan/", http.StripPrefix("/4chan", wrap("fourchan", st.Fourchan.Handler(), nil)))
-	mux.Handle("/8ch/", http.StripPrefix("/8ch", wrap("eightch", st.Eightch.Handler(), nil)))
-	mux.Handle("/osn/", http.StripPrefix("/osn", wrap("osn", st.Universe.Handler(), osn.RouteLabel)))
+	mux.Handle("/pastebin/", http.StripPrefix("/pastebin", sub.Handlers["pastebin"]))
+	mux.Handle("/4chan/", http.StripPrefix("/4chan", sub.Handlers["fourchan"]))
+	mux.Handle("/8ch/", http.StripPrefix("/8ch", sub.Handlers["eightch"]))
+	mux.Handle("/osn/", http.StripPrefix("/osn", sub.Handlers["osn"]))
 	mux.HandleFunc("/admin/clock", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, st.Clock.Now().Format(time.RFC3339))
 	})

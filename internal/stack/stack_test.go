@@ -6,9 +6,14 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
+	"doxmeter/internal/core"
 	"doxmeter/internal/faults"
+	"doxmeter/internal/osn"
+	"doxmeter/internal/simclock"
 	"doxmeter/internal/telemetry"
+	"doxmeter/internal/textgen"
 )
 
 func get(t *testing.T, url string) (int, string) {
@@ -77,8 +82,8 @@ func TestStackServesEveryPrefix(t *testing.T) {
 func TestStackDeterministicAcrossBuilds(t *testing.T) {
 	a := New(Config{Seed: 7, Scale: 0.004})
 	b := New(Config{Seed: 7, Scale: 0.004})
-	if a.Corpus.TotalDocs() != b.Corpus.TotalDocs() {
-		t.Errorf("corpus size diverged: %d vs %d", a.Corpus.TotalDocs(), b.Corpus.TotalDocs())
+	if a.Corpus().TotalDocs() != b.Corpus().TotalDocs() {
+		t.Errorf("corpus size diverged: %d vs %d", a.Corpus().TotalDocs(), b.Corpus().TotalDocs())
 	}
 	aAcc, bAcc := a.Universe.Accounts(), b.Universe.Accounts()
 	if len(aAcc) != len(bAcc) {
@@ -118,5 +123,102 @@ func TestStackFaultInjectorsCount(t *testing.T) {
 	}
 	if c.Injected() == 0 {
 		t.Error("heavy profile injected nothing over 50 requests")
+	}
+}
+
+// TestStackServesStudyWorld: the stack serves the world a study at the
+// same seed and scale crawls. Every document matches, every account reacts
+// to its dox on the same days, and a doxed account the study would see
+// lock down answers locked over HTTP.
+func TestStackServesStudyWorld(t *testing.T) {
+	const seed, scale = 7, 0.01
+	st := New(Config{Seed: seed, Scale: scale})
+	study, err := core.NewStudy(core.StudyConfig{Seed: seed, Scale: scale})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	docs, same := 0, 0
+	for _, site := range textgen.AllSites() {
+		got, want := st.Corpus().Streams[site], study.Corpus().Streams[site]
+		if len(got) != len(want) {
+			t.Errorf("%s: %d documents, study has %d", site, len(got), len(want))
+		}
+		for i := range min(len(got), len(want)) {
+			docs++
+			if got[i].ID == want[i].ID && got[i].Posted.Equal(want[i].Posted) && got[i].Body == want[i].Body {
+				same++
+			}
+		}
+	}
+	if same != docs {
+		t.Errorf("%d of %d documents match the study's", same, docs)
+	}
+
+	var days []time.Time
+	for _, p := range []simclock.Period{simclock.Period1, simclock.Period2} {
+		for d := p.Start; !d.After(p.End); d = d.Add(simclock.Day) {
+			days = append(days, d)
+		}
+	}
+	got, want := st.Universe.Accounts(), study.Universe.Accounts()
+	if len(got) != len(want) {
+		t.Fatalf("%d accounts, study has %d", len(got), len(want))
+	}
+	victims, doxed, studyDoxed := 0, 0, 0
+	var locked *osn.Account // doxed while public, later locked down
+	var lockedAt time.Time
+	for i, a := range got {
+		b := want[i]
+		if a.Ref != b.Ref {
+			t.Fatalf("account %d is %v, study has %v", i, a.Ref, b.Ref)
+		}
+		if a.VictimID >= 0 {
+			victims++
+		}
+		if !b.DoxedAt().IsZero() {
+			studyDoxed++
+		}
+		if !a.DoxedAt().Equal(b.DoxedAt()) {
+			t.Errorf("%v doxed at %v, study has %v", a.Ref, a.DoxedAt(), b.DoxedAt())
+			continue
+		}
+		for _, d := range days {
+			if a.StatusAt(d) != b.StatusAt(d) {
+				t.Errorf("%v on %s is %v, study has %v", a.Ref, d.Format(time.DateOnly), a.StatusAt(d), b.StatusAt(d))
+				break
+			}
+		}
+		if a.DoxedAt().IsZero() {
+			continue
+		}
+		doxed++
+		if locked != nil || a.StatusAt(a.DoxedAt()) != osn.Public {
+			continue
+		}
+		for _, d := range days {
+			if d.After(a.DoxedAt()) && a.StatusAt(d) != osn.Public {
+				locked, lockedAt = a, d
+				break
+			}
+		}
+	}
+	if locked == nil {
+		t.Fatalf("no doxed account locks down on a study day; %d of %d victim accounts doxed, %d in the study",
+			doxed, victims, studyDoxed)
+	}
+
+	base, shutdown, err := st.ServeLocal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown()
+	advance := int(lockedAt.Sub(st.Clock.Now()) / simclock.Day)
+	if code, _ := get(t, fmt.Sprintf("%s/admin/advance?days=%d", base, advance)); code != 200 {
+		t.Fatalf("advance: status %d", code)
+	}
+	code, body := get(t, fmt.Sprintf("%s/osn/%s/%s", base, locked.Ref.Network.Slug(), locked.Ref.Username))
+	if code != http.StatusNotFound && !(code == 200 && strings.Contains(body, "This account is private.")) {
+		t.Errorf("%v on %s, after its lockdown: status %d, body %q", locked.Ref, lockedAt.Format(time.DateOnly), code, body)
 	}
 }

@@ -212,10 +212,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.Add(v)
 }
 
-// ObserveSeconds records a duration in seconds, the unit every latency
-// histogram in this repo uses.
-func (h *Histogram) ObserveSeconds(d float64) { h.Observe(d) }
-
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
 	if h == nil {
